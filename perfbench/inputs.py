@@ -15,6 +15,7 @@ from stub import CONFIDENCE_FLOOR, entity_confidence
 
 _CONSONANTS = "bcdfghjklmnprstvwz"
 _VOWELS = "aeiou"
+SHARED_PER_JOKE = 2       # names from the shared entity pool in every kept joke
 
 
 def pseudo_words(rng: np.random.Generator, n: int, min_syl: int = 1, max_syl: int = 3,
@@ -71,10 +72,11 @@ def make_jokes(seed: int, n_lines: int, vocab_size: int, n_shared_entities: int 
     Each share of the lines is exact, the line order shuffled. A kept joke
     reads "<sentence>. <clause>, <punchline>." and holds 17-34 words. Its
     set-up carries one entity name of its own, linked above the confidence
-    floor, plus zero to three names (by line number) from a shared pool,
-    a fifth of which the linker scores at or below the floor. A
-    near-duplicate repeats an earlier kept joke with one extra word
-    appended (cosine >= 0.97).
+    floor, plus SHARED_PER_JOKE names from a shared pool, a fifth of which
+    the linker scores at or below the floor. Every joke names the same
+    number of entities, so a record's annotation work does not hang on
+    the seed. A near-duplicate repeats an earlier kept joke with one extra
+    word appended (cosine >= 0.97).
     """
     rng = np.random.default_rng([seed, 1])
     taken: set[str] = set()
@@ -90,7 +92,7 @@ def make_jokes(seed: int, n_lines: int, vocab_size: int, n_shared_entities: int 
         first = words(int(rng.integers(8, 14)))
         second = words(int(rng.integers(5, 10)))
         names = [_entity_names(rng, 1, taken, True)[0]]
-        names += [shared[i] for i in rng.choice(len(shared), size=len(lines) % 4)]
+        names += [shared[i] for i in rng.choice(len(shared), size=SHARED_PER_JOKE, replace=False)]
         for name in names:
             part = first if rng.random() < 0.6 else second
             part.insert(int(rng.integers(0, len(part) + 1)), name)

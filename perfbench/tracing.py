@@ -15,7 +15,6 @@ import statistics
 import time
 from collections import defaultdict
 
-TEXT_PHASES = ("corpus", "annotate_cold", "annotate_warm", "tokenizer", "rouge")
 TRAIN_PHASES = ("pretrain", "finetune")
 
 
@@ -145,14 +144,12 @@ class Tracer:
     def per_layer(self, rounds: list[dict], w) -> dict[str, dict]:
         """The per-layer metrics of the traced round (rounds[-1]) and the tracing overhead.
 
-        Text-phase metrics are per repetition of the phase; model-phase
-        metrics cover the round's one pretrain, finetune and generate call.
+        A traced round calls every phase once.
         """
         table = self.table()
 
         def total(field, name, phases):
-            reps = w.text_reps if phases[0] in TEXT_PHASES else 1
-            return sum(table[(p, name)][field] for p in phases if (p, name) in table) / reps
+            return sum(table[(p, name)][field] for p in phases if (p, name) in table)
 
         m: dict[str, tuple[float, str]] = {}
         m["corpus.filter_segment_s"] = (total("self_s", "corpus.filter_joke", ["corpus"])
@@ -163,8 +160,8 @@ class Tracer:
             m[f"knowledge.link_s.{p}"] = (total("self_s", "knowledge.link", phase), "s")
             m[f"knowledge.fetch_s.{p}"] = (total("self_s", "knowledge.fetch", phase), "s")
             m[f"knowledge.cache_put_s.{p}"] = (total("self_s", "knowledge.cache_put", phase), "s")
-            m[f"knowledge.stub_s.{p}"] = (self.notes[f"stub.busy_s.{p}"] / w.text_reps, "s")
-            m[f"knowledge.{p}_requests"] = (self.notes[f"stub.requests.{p}"] / w.text_reps, "count")
+            m[f"knowledge.stub_s.{p}"] = (self.notes[f"stub.busy_s.{p}"], "s")
+            m[f"knowledge.{p}_requests"] = (self.notes[f"stub.requests.{p}"], "count")
         m["tokenizer.merges"] = (rounds[-1]["merges"], "count")
         m["kernels.lcs_s"] = (total("self_s", "kernels.lcs", ["rouge"]), "s")
         m["kernels.lcs_calls"] = (total("calls", "kernels.lcs", ["rouge"]), "count")
