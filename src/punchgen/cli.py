@@ -203,7 +203,13 @@ def cmd_generate(args) -> int:
     from .model import load_model
 
     cfg = _load_run_config(args)
+    if args.beam < 1:
+        raise UsageError(f"--beam must be at least 1, got {args.beam}")
     model = load_model(args.ckpt)
+    # the last beam step decodes a prefix of --max-len tokens, BOS included
+    if not 1 <= args.max_len <= model.cfg.max_len:
+        raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "
+                         f"got {args.max_len}")
     out = Path(args.output)
     n = generate_file(args.input, model, out, beam=args.beam, max_len=args.max_len,
                       length_normalize=not args.raw_score,

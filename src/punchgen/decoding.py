@@ -94,11 +94,9 @@ def rescore(model: Model, record: JokeRecord, tokens: list[int]) -> float:
     with ag.no_grad():
         memory = model.encode_setup(model.tokenizer.encode(record.setup)[: model.cfg.max_len])
         knowledge = model.encode_triples(record.triples) if model.fused else None
-    step = model_step_fn(model, memory, knowledge)
-    total = 0.0
-    for i in range(1, len(tokens)):
-        total += float(step(tokens[:i])[tokens[i]])
-    return total
+        states = model.decode_states(tokens[:-1], memory, knowledge)
+        logp = ag.log_softmax(model.logits(states), axis=1).data
+    return float(logp[np.arange(len(tokens) - 1), tokens[1:]].sum())
 
 
 def generate_file(input_path: str | Path, model: Model, output_path: str | Path,
@@ -106,8 +104,10 @@ def generate_file(input_path: str | Path, model: Model, output_path: str | Path,
                   refs_path: str | Path | None = None) -> int:
     """One generated punchline per input record, order-preserving.
 
-    Optionally writes the reference punchlines alongside. Returns the
-    number of lines written. Model failures abort the whole run.
+    A newline decoded inside a hypothesis becomes a space, so line i of
+    the output always belongs to record i. Optionally writes the
+    reference punchlines alongside. Returns the number of lines written.
+    Model failures abort the whole run.
     """
     records = read_jsonl(input_path)
     hyps = [
@@ -117,7 +117,7 @@ def generate_file(input_path: str | Path, model: Model, output_path: str | Path,
     ]
     with Path(output_path).open("w", encoding="utf-8") as fh:
         for hyp in hyps:
-            fh.write(hyp + "\n")
+            fh.write(hyp.replace("\n", " ") + "\n")
     if refs_path is not None:
         with Path(refs_path).open("w", encoding="utf-8") as fh:
             for rec in records:

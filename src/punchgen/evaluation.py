@@ -73,10 +73,7 @@ def rouge_l(hyp: list[str], ref: list[str]) -> Score:
     """Sentence-level LCS precision/recall/F1."""
     if not hyp or not ref:
         return Score(0.0, 0.0, 0.0)
-    vocab: dict[str, int] = {}
-    hyp_ids = [vocab.setdefault(t, len(vocab)) for t in hyp]
-    ref_ids = [vocab.setdefault(t, len(vocab)) for t in ref]
-    lcs = kernels.lcs_length(hyp_ids, ref_ids)
+    lcs = kernels.lcs_length(hyp, ref)
     return Score.from_counts(lcs, len(hyp), len(ref))
 
 
@@ -101,9 +98,16 @@ def evaluate_lines(hyps: list[str], refs: list[str]) -> RougeReport:
     return RougeReport(r1, r2, rl, n)
 
 
+def _read_lines(path: str | Path) -> list[str]:
+    # lines end at "\n" only: a "\r" or other control byte in a hypothesis
+    # stays inside its line, so hypotheses and references stay aligned
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read().split("\n")
+
+
 def evaluate_corpus(hyps_path: str | Path, refs_path: str | Path) -> RougeReport:
-    hyps = Path(hyps_path).read_text(encoding="utf-8").split("\n")
-    refs = Path(refs_path).read_text(encoding="utf-8").split("\n")
+    hyps = _read_lines(hyps_path)
+    refs = _read_lines(refs_path)
     # a trailing newline produces one empty trailing entry; drop it symmetrically
     if hyps and hyps[-1] == "":
         hyps = hyps[:-1]

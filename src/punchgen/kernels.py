@@ -1,10 +1,8 @@
-"""Loop-bound numeric kernels, numba-compiled when available.
+"""Loop-bound numeric kernels: LCS length and keep-first de-duplication.
 
 Two inner loops in this package don't reduce to BLAS calls: the LCS
-dynamic program behind ROUGE-L and the pairwise keep-first scan behind
-corpus de-duplication. Both get an ``@njit`` build plus a pure
-numpy/python fallback. Set ``PUNCHGEN_NO_NUMBA=1`` to force the
-fallback path (``benchmarks/bench_kernels.py`` compares the two).
+behind ROUGE-L and the pairwise keep-first scan behind corpus
+de-duplication. Each has one exact implementation here.
 
 The transformer/GAT math itself stays plain numpy: it is matmul-bound
 and already runs on BLAS.
@@ -12,136 +10,69 @@ and already runs on BLAS.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("PUNCHGEN_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA
-
-
-# ------------------------------------------------------------------ LCS length
-
-
-def _lcs_length_py(a: np.ndarray, b: np.ndarray) -> int:
-    # rolling single-row DP; python loops, short sequences only
-    m, n = len(a), len(b)
-    if m == 0 or n == 0:
-        return 0
-    prev = np.zeros(n + 1, dtype=np.int64)
-    cur = np.zeros(n + 1, dtype=np.int64)
-    for i in range(m):
-        ai = a[i]
-        for j in range(n):
-            if ai == b[j]:
-                cur[j + 1] = prev[j] + 1
-            else:
-                cur[j + 1] = max(prev[j + 1], cur[j])
-        prev, cur = cur, prev
-    return int(prev[n])
-
-
-if HAVE_NUMBA:
-    _lcs_length_nb = njit(cache=True, nogil=True)(_lcs_length_py)
+# rows per sparse similarity block in dedup_scan; bounds its working memory
+DEDUP_BLOCK_ROWS = 128
 
 
 def lcs_length(a, b) -> int:
-    """Length of the longest common subsequence of two id sequences."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if USE_NUMBA:
-        return int(_lcs_length_nb(a, b))
-    return _lcs_length_py(a, b)
+    """Length of the longest common subsequence of two sequences of hashables.
 
-
-# ------------------------------------------------- keep-first dedup scan (CSR)
-
-
-def _dedup_scan_nb_impl(indptr, tok, cnt, sumsq, threshold):
-    n = len(indptr) - 1
-    keep = np.zeros(n, dtype=np.bool_)
-    kept = np.empty(n, dtype=np.int64)
-    n_kept = 0
-    for i in range(n):
-        si, ei = indptr[i], indptr[i + 1]
-        ok = True
-        for t in range(n_kept):
-            j = kept[t]
-            sj, ej = indptr[j], indptr[j + 1]
-            if sumsq[i] == 0.0 or sumsq[j] == 0.0:
-                continue
-            # merge-join over token ids sorted within each row
-            dot = 0.0
-            p, q = si, sj
-            while p < ei and q < ej:
-                tp, tq = tok[p], tok[q]
-                if tp == tq:
-                    dot += cnt[p] * cnt[q]
-                    p += 1
-                    q += 1
-                elif tp < tq:
-                    p += 1
-                else:
-                    q += 1
-            if dot / np.sqrt(sumsq[i] * sumsq[j]) > threshold:
-                ok = False
-                break
-        if ok:
-            keep[i] = True
-            kept[n_kept] = i
-            n_kept += 1
-    return keep
-
-
-if HAVE_NUMBA:
-    _dedup_scan_nb = njit(cache=True, nogil=True)(_dedup_scan_nb_impl)
-
-
-def _dedup_scan_np(indptr, tok, cnt, sumsq, threshold):
-    # dense fallback: scatter rows into (n, vocab) and use matvec per row
-    n = len(indptr) - 1
-    vocab = int(tok.max()) + 1 if len(tok) else 1
-    dense = np.zeros((n, vocab))
-    for i in range(n):
-        dense[i, tok[indptr[i]:indptr[i + 1]]] = cnt[indptr[i]:indptr[i + 1]]
-    keep = np.zeros(n, dtype=bool)
-    kept_rows = []
-    kept_sumsq = []
-    for i in range(n):
-        if kept_rows and sumsq[i] > 0:
-            dots = np.asarray(kept_rows) @ dense[i]
-            sims = dots / np.sqrt(np.asarray(kept_sumsq) * sumsq[i])
-            if np.any(sims > threshold):
-                continue
-        keep[i] = True
-        if sumsq[i] > 0:
-            kept_rows.append(dense[i])
-            kept_sumsq.append(sumsq[i])
-    return keep
+    Bit-parallel over Python ints (Allison & Dix 1986; Hyyrö 2004): bit k
+    of ``v`` stands for symbol k of ``a``, one word-parallel update per
+    symbol of ``b``, and the LCS is the number of cleared bits.
+    """
+    m = len(a)
+    if m == 0 or len(b) == 0:
+        return 0
+    masks: dict = {}
+    for k, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | (1 << k)
+    full = (1 << m) - 1
+    v = full
+    for y in b:
+        match = masks.get(y)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return m - v.bit_count()
 
 
 def dedup_scan(indptr, tok, cnt, sumsq, threshold: float) -> np.ndarray:
     """Keep-first near-duplicate scan over CSR-packed count vectors.
 
     Row i survives iff its cosine against every earlier survivor is
-    <= threshold; cosine = dot / sqrt(sumsq_i * sumsq_j). Token ids
-    must be sorted within each row. Returns a boolean keep mask.
+    <= threshold (>= 0); cosine = dot / sqrt(sumsq_i * sumsq_j). Returns
+    a boolean keep mask.
+
+    Dots come from one sparse product per block of rows against all
+    rows up to the block's end; only pairs j < i above the threshold are
+    kept as candidates. The counts are small integers, so every dot is
+    exact in float64 whatever the summation order, and ties at the
+    threshold resolve exactly as in a pairwise scan.
     """
+    # scipy.sparse is imported here, not at module level: only corpus
+    # building needs it, and it costs every other command ~0.1 s to load
+    import scipy.sparse as sp
+
     indptr = np.asarray(indptr, dtype=np.int64)
     tok = np.asarray(tok, dtype=np.int64)
     cnt = np.asarray(cnt, dtype=np.float64)
     sumsq = np.asarray(sumsq, dtype=np.float64)
-    if USE_NUMBA:
-        return np.asarray(_dedup_scan_nb(indptr, tok, cnt, sumsq, threshold))
-    return _dedup_scan_np(indptr, tok, cnt, sumsq, threshold)
+    n = len(indptr) - 1
+    vocab = int(tok.max()) + 1 if len(tok) else 1
+    x = sp.csr_matrix((cnt, tok, indptr), shape=(n, vocab))
+    keep = np.ones(n, dtype=bool)
+    for lo in range(0, n, DEDUP_BLOCK_ROWS):
+        hi = min(lo + DEDUP_BLOCK_ROWS, n)
+        dots = x[lo:hi] @ x[:hi].T
+        norms = sumsq[dots.indices] * np.repeat(sumsq[lo:hi], np.diff(dots.indptr))
+        np.sqrt(norms, out=norms)
+        close = np.flatnonzero(dots.data / norms > threshold)
+        rows = np.searchsorted(dots.indptr, close, side="right") - 1 + lo
+        # pairs come in row order, so keep[j] for an earlier row j is final here
+        for i, j in zip(rows.tolist(), dots.indices[close].tolist()):
+            if j < i and keep[j]:
+                keep[i] = False
+    return keep

@@ -32,7 +32,7 @@ import numpy as np
 from . import autograd as ag
 from .config import ModelConfig
 from .graph_encoder import encode_knowledge, init_gat_params
-from .kgraph import KnowledgeGraph, build_graph, init_node_features, init_node_params
+from .kgraph import build_graph, init_node_features, init_node_params
 from .tokenizer import Tokenizer
 
 MASK_OFF = -1e30
@@ -163,13 +163,6 @@ def feed_forward(x: ag.Tensor, p: dict, prefix: str) -> ag.Tensor:
     return ag.relu(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]) @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
 
 
-def fusion_attention(s_states: ag.Tensor, h_nodes: ag.Tensor, p: dict, prefix: str,
-                     n_heads: int, trace: list | None = None) -> ag.Tensor:
-    """Attention from decoder states to encoded knowledge nodes."""
-    return multi_head_attention(s_states, h_nodes, p, prefix, n_heads,
-                                trace=trace, trace_tag="fusion")
-
-
 def knowledge_gate(s_states: ag.Tensor, knowledge: ag.Tensor, wg: ag.Tensor) -> ag.Tensor:
     """Per-dimension highway mix: sigmoid(S W_g) * S + (1 - .) * knowledge."""
     lam = ag.sigmoid(s_states @ wg)
@@ -223,10 +216,6 @@ class Model:
         graph.features = init_node_features(graph, self.params, self.tokenizer, self.cfg)
         return encode_knowledge(graph, self.params, self.cfg)
 
-    def encode_graph(self, graph: KnowledgeGraph) -> ag.Tensor:
-        graph.features = init_node_features(graph, self.params, self.tokenizer, self.cfg)
-        return encode_knowledge(graph, self.params, self.cfg)
-
     # ----------------------------------------------------------------- decoder
 
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
@@ -249,8 +238,8 @@ class Model:
             s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
             if use_fusion:
-                fused_attn = fusion_attention(s_states, knowledge, p, f"dec.{n}.fuse",
-                                              cfg.n_heads, trace=trace)
+                fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
+                                                  cfg.n_heads, trace=trace, trace_tag="fusion")
                 y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"])
             else:
                 # lam == 1 exactly: the gate passes S through untouched

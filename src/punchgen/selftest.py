@@ -21,7 +21,7 @@ from .corpus import JokeRecord, deduplicate
 from .decoding import beam_search, model_step_fn
 from .graph_encoder import encode_knowledge, gat_attention, in_neighbor_mask, init_gat_params
 from .kgraph import KnowledgeGraph, Node, build_graph
-from .model import Model, fusion_attention, init_params, knowledge_gate
+from .model import Model, init_params, knowledge_gate, multi_head_attention
 from .tokenizer import train_tokenizer
 from .training import Adam, prepare_examples
 
@@ -163,7 +163,7 @@ def check_fusion_gate_gradients():
     weight = rng.normal(size=(4, d))
 
     def loss_fn():
-        attended = fusion_attention(s_in, h_in, params, "f", cfg.n_heads)
+        attended = multi_head_attention(s_in, h_in, params, "f", cfg.n_heads)
         gated = knowledge_gate(s_in, attended, params["wg"])
         return (gated * ag.Tensor(weight)).sum()
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import subprocess_env
@@ -121,6 +122,41 @@ class TestAnnotateAndDump:
     def test_kgraph_dump_bad_index_is_usage_error(self, data_dir):
         assert run_cli("kgraph", "dump", "--input", str(data_dir / "train.jsonl"),
                        "--record", "9999") == 1
+
+
+class TestGenerateFlags:
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        from punchgen.config import ModelConfig
+        from punchgen.corpus import JokeRecord, write_jsonl
+        from punchgen.model import init_params, save_params
+        from punchgen.tokenizer import train_tokenizer
+
+        cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
+                          max_len=16, dropout=0.0)
+        tok = train_tokenizer(["the cat sat on the mat"], vocab_size=cfg.vocab_size)
+        ckpt = tmp_path / "model.ckpt"
+        save_params(ckpt, init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=False),
+                    cfg, tok, fused=False)
+        records = tmp_path / "test.jsonl"
+        write_jsonl([JokeRecord("the cat sat.", "on the mat")], records)
+        return ckpt, records, tmp_path / "hyps.txt"
+
+    def generate(self, paths, *flags):
+        ckpt, records, out = paths
+        return run_cli("generate", "--ckpt", str(ckpt), "--input", str(records),
+                       "--output", str(out), *flags)
+
+    def test_max_len_above_checkpoint_is_usage_error(self, paths, capsys):
+        assert self.generate(paths, "--max-len", "17") == 1
+        assert "--max-len must be in [1, 16]" in capsys.readouterr().err
+        assert not paths[2].exists()
+        assert self.generate(paths, "--max-len", "16", "--beam", "1") == 0
+
+    def test_zero_beam_is_usage_error(self, paths, capsys):
+        assert self.generate(paths, "--max-len", "4", "--beam", "0") == 1
+        assert "--beam must be at least 1" in capsys.readouterr().err
+        assert not paths[2].exists()
 
 
 class TestEvaluateCli:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from punchgen import decoding
 from punchgen.config import ModelConfig
 from punchgen.corpus import JokeRecord, write_jsonl
 from punchgen.decoding import (
@@ -152,6 +153,13 @@ class TestGenerateFile:
         assert n == 4
         assert len(out.read_text().split("\n")) == 5  # 4 lines + trailing newline
         assert refs.read_text() == "".join(f"punch {i}.\n" for i in range(4))
+
+    def test_newline_in_hypothesis_becomes_space(self, model, tmp_path, monkeypatch):
+        monkeypatch.setattr(decoding, "decode_record", lambda *args, **kw: "two\nlines")
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.txt"
+        write_jsonl([JokeRecord("the cat sat,", "a dog.")] * 2, inp)
+        assert generate_file(inp, model, out, beam=2, max_len=6) == 2
+        assert out.read_text() == "two lines\ntwo lines\n"
 
 
 class TestHypothesisInvariants:

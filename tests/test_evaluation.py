@@ -159,6 +159,15 @@ class TestCorpus:
         report = evaluate_corpus(hyps, refs)
         assert report.rouge1.f1 == 0.0 and report.rougeL.f1 == 0.0
 
+    def test_carriage_return_stays_inside_its_line(self, tmp_path):
+        hyps = tmp_path / "h.txt"
+        refs = tmp_path / "r.txt"
+        hyps.write_bytes(b"the cat\rsat\na dog\n")
+        refs.write_bytes(b"the cat sat\na dog\n")
+        report = evaluate_corpus(hyps, refs)
+        assert report.n_lines == 2
+        assert report.rouge1.f1 == 1.0 and report.rougeL.f1 == 1.0
+
     def test_line_count_mismatch(self, tmp_path):
         hyps = tmp_path / "h.txt"
         refs = tmp_path / "r.txt"

@@ -6,12 +6,12 @@ from punchgen.config import ModelConfig
 from punchgen.model import (
     LengthError,
     Model,
-    fusion_attention,
     init_params,
     is_knowledge_only,
     knowledge_gate,
     load_model,
     load_params,
+    multi_head_attention,
     partition_names,
     save_params,
     sinusoidal_positions,
@@ -125,7 +125,7 @@ class TestFusionAttention:
         rng = np.random.default_rng(2)
         s = ag.Tensor(rng.normal(size=(5, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(1, TINY.d_model)))
-        out = fusion_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads)
+        out = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads)
         p = fused.params
         expect = (h.data @ p["dec.0.fuse.wv"].data + p["dec.0.fuse.bv"].data) \
             @ p["dec.0.fuse.wo"].data + p["dec.0.fuse.bo"].data
@@ -137,7 +137,7 @@ class TestFusionAttention:
         s = ag.Tensor(rng.normal(size=(4, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(6, TINY.d_model)))
         trace = []
-        fusion_attention(s, h, fused.params, "dec.1.fuse", TINY.n_heads, trace=trace)
+        multi_head_attention(s, h, fused.params, "dec.1.fuse", TINY.n_heads, trace=trace)
         assert len(trace) == TINY.n_heads
         for _, alpha in trace:
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -146,7 +146,7 @@ class TestFusionAttention:
         rng = np.random.default_rng(4)
         s = ag.Tensor(rng.normal(size=(3, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(5, TINY.d_model)))
-        got = fusion_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads).data
+        got = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads).data
         want = np_mha(s.data, h.data, fused.params, "dec.0.fuse", TINY.n_heads)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
