@@ -216,33 +216,35 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def _fold(x: np.ndarray) -> np.ndarray:
+    """(..., r, c) -> (r, prod(...) * c): the batch axes laid along the columns."""
+    return np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
+
+
 def matmul(a, b) -> Tensor:
-    """Matrix product for 1-D/2-D operands (all this package needs)."""
+    """Matrix product with numpy semantics: 1-D operands, leading batch axes, broadcasting."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim > 2 or b.data.ndim > 2:
-        raise ValueError("matmul supports 1-D and 2-D operands only")
     data = a.data @ b.data
 
     def backward(grad):
-        an, bn = a.data.ndim, b.data.ndim
+        # promote 1-D operands to matrices as numpy does; one rule then covers every shape
+        x = a.data[None, :] if a.data.ndim == 1 else a.data
+        y = b.data[:, None] if b.data.ndim == 1 else b.data
+        g = grad.reshape(np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+                         + (x.shape[-2], y.shape[-1]))
+        # a 2-D operand shared across a batch gets one 2-D product over the folded batch axes
         if a.requires_grad:
-            if an == 2 and bn == 2:
-                a._accumulate(grad @ b.data.T)
-            elif an == 2 and bn == 1:
-                a._accumulate(np.outer(grad, b.data))
-            elif an == 1 and bn == 2:
-                a._accumulate(grad @ b.data.T)
+            if x.ndim == 2 and g.ndim > 2:
+                ga = _fold(g) @ _fold(y).T
             else:
-                a._accumulate(grad * b.data)
+                ga = g @ np.swapaxes(y, -1, -2)
+            a._accumulate(_unbroadcast(ga, x.shape).reshape(a.data.shape))
         if b.requires_grad:
-            if an == 2 and bn == 2:
-                b._accumulate(a.data.T @ grad)
-            elif an == 2 and bn == 1:
-                b._accumulate(a.data.T @ grad)
-            elif an == 1 and bn == 2:
-                b._accumulate(np.outer(a.data, grad))
+            if y.ndim == 2 and g.ndim > 2:
+                gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                b._accumulate(grad * a.data)
+                gb = np.swapaxes(x, -1, -2) @ g
+            b._accumulate(_unbroadcast(gb, y.shape).reshape(b.data.shape))
 
     return _make(data, (a, b), backward)
 

@@ -14,6 +14,7 @@ without breaking the line-oriented file formats.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,13 +56,12 @@ def _load_run_config(args) -> "config.RunConfig":
         cfg = config.RunConfig.load(path)
     else:
         cfg = config.preset(getattr(args, "preset", None) or "desk")
-    for attr, target in (("max_steps", "max_steps"), ("batch_size", "batch_size"),
-                         ("learning_rate", "learning_rate"), ("eval_every", "eval_every")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(cfg.train, target, value)
-    if getattr(args, "seed", None) is not None:
-        cfg.train.seed = args.seed
+    names = ("max_steps", "batch_size", "learning_rate", "eval_every", "seed")
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    try:
+        cfg.train = dataclasses.replace(cfg.train, **overrides)  # reruns TrainConfig's checks
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 
@@ -90,6 +90,8 @@ def cmd_knowledge_annotate(args) -> int:
     from . import knowledge
     from .corpus import read_jsonl, write_jsonl
 
+    if args.max_per_entity < 1:
+        raise UsageError(f"--max-per-entity must be at least 1, got {args.max_per_entity}")
     cfg = _load_run_config(args)
     records = read_jsonl(args.input)
     if args.fixtures:

@@ -68,6 +68,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
+        for name in ("max_steps", "eval_every", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass

@@ -6,6 +6,10 @@ connection score of node i toward neighbor j is softmax over
 of the activated, attention-weighted sum of value-projected neighbors.
 No residuals, no output projection: heads concatenate straight back to
 the model width.
+
+Each layer stores its weights stacked over heads as gat.{l}.{wq,wk,wv},
+each (d_model, n_heads * d_head); head m owns columns
+m*d_head:(m+1)*d_head, and all heads run as one batched product.
 """
 
 from __future__ import annotations
@@ -17,16 +21,33 @@ from .config import ModelConfig
 from .kgraph import KnowledgeGraph
 
 MASK_OFF = -1e30
+GAT_WEIGHTS = ("wq", "wk", "wv")
 
 
 def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.Tensor]:
+    """Xavier blocks of (d_model, d_head) drawn in (layer, head, weight) order, then stacked."""
+    d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
+    bound = np.sqrt(6.0 / (d + dh))
     params = {}
     for layer in range(cfg.gat_layers):
-        for head in range(cfg.n_heads):
-            for w in ("wq", "wk", "wv"):
-                name = f"gat.{layer}.{head}.{w}"
-                params[name] = ag.parameter(rng, (cfg.d_model, cfg.d_head), name=name)
+        blocks = rng.uniform(-bound, bound, size=(heads, len(GAT_WEIGHTS), d, dh))
+        for i, w in enumerate(GAT_WEIGHTS):
+            name = f"gat.{layer}.{w}"
+            stacked = blocks[:, i].transpose(1, 0, 2).reshape(d, heads * dh)
+            params[name] = ag.Tensor(stacked, requires_grad=True, name=name)
     return params
+
+
+def split_heads(x: ag.Tensor, n_heads: int) -> ag.Tensor:
+    """(n, n_heads * d_head) -> (n_heads, n, d_head)."""
+    n, width = x.shape
+    return ag.transpose(ag.reshape(x, (n, n_heads, width // n_heads)), (1, 0, 2))
+
+
+def merge_heads(x: ag.Tensor) -> ag.Tensor:
+    """(n_heads, n, d_head) -> (n, n_heads * d_head), heads side by side."""
+    heads, n, dh = x.shape
+    return ag.reshape(ag.transpose(x, (1, 0, 2)), (n, heads * dh))
 
 
 def in_neighbor_mask(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -37,61 +58,32 @@ def in_neighbor_mask(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
     return mask
 
 
-def _mask_bias(mask: np.ndarray) -> np.ndarray:
-    return np.where(mask, 0.0, MASK_OFF)
+def gat_attention(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> ag.Tensor:
+    """Attention (n_heads, n, n); row i of each head is a distribution over N(i)."""
+    q = split_heads(h @ layer["wq"], n_heads)
+    k = split_heads(h @ layer["wk"], n_heads)
+    logits = q @ ag.transpose(k, (0, 2, 1)) + ag.Tensor(np.where(mask, 0.0, MASK_OFF))
+    return ag.softmax(logits, axis=-1)
 
 
-def gat_attention(h: ag.Tensor, layer_params: list[dict], mask: np.ndarray) -> list[ag.Tensor]:
-    """Per-head attention matrices; row i is a distribution over N(i)."""
-    bias = ag.Tensor(_mask_bias(mask))
-    alphas = []
-    for head in layer_params:
-        q = h @ head["wq"]
-        k = h @ head["wk"]
-        logits = q @ k.T + bias
-        alphas.append(ag.softmax(logits, axis=1))
-    return alphas
-
-
-def gat_layer(h: ag.Tensor, layer_params: list[dict], mask: np.ndarray,
+def gat_layer(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int,
               slope: float = 0.2, activation=None) -> ag.Tensor:
     """One multi-head update; heads concatenate back to width d."""
     act = activation if activation is not None else (lambda t: ag.leaky_relu(t, slope))
-    alphas = gat_attention(h, layer_params, mask)
-    outs = []
-    for head, alpha in zip(layer_params, alphas):
-        v = h @ head["wv"]
-        outs.append(act(alpha @ v))
-    return ag.concat(outs, axis=1)
+    alpha = gat_attention(h, layer, mask, n_heads)
+    return merge_heads(act(alpha @ split_heads(h @ layer["wv"], n_heads)))
 
 
-def _layers(params: dict, cfg: ModelConfig) -> list[list[dict]]:
-    return [
-        [
-            {w: params[f"gat.{layer}.{head}.{w}"] for w in ("wq", "wk", "wv")}
-            for head in range(cfg.n_heads)
-        ]
-        for layer in range(cfg.gat_layers)
-    ]
+def _layers(params: dict, cfg: ModelConfig) -> list[dict]:
+    return [{w: params[f"gat.{layer}.{w}"] for w in GAT_WEIGHTS} for layer in range(cfg.gat_layers)]
 
 
-def encode_knowledge(graph: KnowledgeGraph, params: dict, cfg: ModelConfig,
-                     collect_attention: list | None = None) -> ag.Tensor:
+def encode_knowledge(graph: KnowledgeGraph, params: dict, cfg: ModelConfig) -> ag.Tensor:
     """Apply the configured number of attention layers to graph.features."""
     if graph.features is None:
         raise ValueError("graph has no initial features")
     mask = in_neighbor_mask(graph.n_nodes, graph.edges)
     h = graph.features
-    for layer_params in _layers(params, cfg):
-        if collect_attention is not None:
-            collect_attention.append([a.data.copy() for a in gat_attention(h, layer_params, mask)])
-        h = gat_layer(h, layer_params, mask, slope=cfg.leaky_slope)
+    for layer in _layers(params, cfg):
+        h = gat_layer(h, layer, mask, cfg.n_heads, slope=cfg.leaky_slope)
     return h
-
-
-def attention_dump(graph: KnowledgeGraph, params: dict, cfg: ModelConfig) -> list:
-    """Attention tensors per layer/head as nested lists (JSON-friendly)."""
-    collected: list = []
-    with ag.no_grad():
-        encode_knowledge(graph, params, cfg, collect_attention=collected)
-    return [[a.tolist() for a in layer] for layer in collected]

@@ -90,46 +90,57 @@ def init_node_params(rng: np.random.Generator, vocab_size: int, cfg: ModelConfig
     return params
 
 
-def _lstm_last_hidden(x: ag.Tensor, w_ih: ag.Tensor, w_hh: ag.Tensor, b: ag.Tensor, h_dim: int) -> ag.Tensor:
-    """Run an LSTM over (T, d_in) rows and return the last hidden state (h_dim,)."""
-    h = ag.Tensor(np.zeros(h_dim))
-    c = ag.Tensor(np.zeros(h_dim))
-    T = x.shape[0]
-    for t in range(T):
-        pre = x[t] @ w_ih + h @ w_hh + b
-        i = ag.sigmoid(pre[0 * h_dim:1 * h_dim])
-        f = ag.sigmoid(pre[1 * h_dim:2 * h_dim])
-        g = ag.tanh(pre[2 * h_dim:3 * h_dim])
-        o = ag.sigmoid(pre[3 * h_dim:4 * h_dim])
+def _lstm_last_states(xw: ag.Tensor, lengths: np.ndarray, w_hh: ag.Tensor, b: ag.Tensor,
+                      h_dim: int) -> ag.Tensor:
+    """Last hidden state (L, h_dim) of each row of an LSTM over input projections xw (L, T, 4h).
+
+    Rows are sorted longest first, so the rows still running at step t
+    form a prefix of the batch; a row's state is collected as it finishes.
+    """
+    h = c = ag.Tensor(np.zeros((lengths.size, h_dim)))
+    finished = []
+    for t in range(int(lengths[0])):
+        n = int(np.count_nonzero(lengths > t))
+        if n < h.shape[0]:
+            finished.append(h[n:])
+            h, c = h[:n], c[:n]
+        pre = xw[:n, t] + h @ w_hh + b
+        i = ag.sigmoid(pre[:, 0 * h_dim:1 * h_dim])
+        f = ag.sigmoid(pre[:, 1 * h_dim:2 * h_dim])
+        g = ag.tanh(pre[:, 2 * h_dim:3 * h_dim])
+        o = ag.sigmoid(pre[:, 3 * h_dim:4 * h_dim])
         c = f * c + i * g
         h = o * ag.tanh(c)
-    return h
-
-
-def encode_label(label: str, params: dict, tokenizer: Tokenizer, cfg: ModelConfig) -> ag.Tensor:
-    """Feature vector (d_model,) for one node label."""
-    ids = tokenizer.encode(label)
-    if not ids:
-        raise ValueError(f"label {label!r} produced no tokens")
-    emb = ag.embedding(params["kinit.emb"], np.asarray(ids))
-    fwd = _lstm_last_hidden(emb, params["kinit.fw.w_ih"], params["kinit.fw.w_hh"],
-                            params["kinit.fw.b"], cfg.d_rnn)
-    rev_rows = ag.take_slice(emb, slice(None, None, -1))
-    bwd = _lstm_last_hidden(rev_rows, params["kinit.bw.w_ih"], params["kinit.bw.w_hh"],
-                            params["kinit.bw.b"], cfg.d_rnn)
-    return ag.concat([fwd, bwd], axis=0) @ params["kinit.proj"]
+    finished.append(h)
+    return ag.concat(finished[::-1], axis=0)
 
 
 def init_node_features(graph: KnowledgeGraph, params: dict, tokenizer: Tokenizer,
                        cfg: ModelConfig) -> ag.Tensor:
-    """Initial feature matrix (|V|, d_model); identical labels share one encoding."""
-    by_label: dict[str, ag.Tensor] = {}
-    rows = []
-    for node in graph.nodes:
-        if node.label not in by_label:
-            by_label[node.label] = encode_label(node.label, params, tokenizer, cfg)
-        rows.append(ag.reshape(by_label[node.label], (1, cfg.d_model)))
-    return ag.concat(rows, axis=0)
+    """Initial feature matrix (|V|, d_model); identical labels share one encoding.
+
+    The graph's distinct labels run through each LSTM direction as one
+    batch, sorted longest first with padded token ids; the backward
+    direction reads each label reversed within its own length.
+    """
+    labels = [node.label for node in graph.nodes]
+    ids = {label: tokenizer.encode(label) for label in dict.fromkeys(labels)}
+    order = sorted(ids, key=lambda label: -len(ids[label]))
+    lengths = np.array([len(ids[label]) for label in order])
+    if lengths[-1] == 0:
+        raise ValueError(f"label {order[-1]!r} produced no tokens")
+    steps = np.arange(lengths[0])
+    running = steps < lengths[:, None]
+    fw = np.zeros(running.shape, dtype=np.intp)
+    fw[running] = np.concatenate([ids[label] for label in order])
+    bw = np.take_along_axis(fw, np.where(running, lengths[:, None] - 1 - steps, 0), axis=1)
+    last = [
+        _lstm_last_states(ag.embedding(params["kinit.emb"], tokens) @ params[f"kinit.{side}.w_ih"],
+                          lengths, params[f"kinit.{side}.w_hh"], params[f"kinit.{side}.b"], cfg.d_rnn)
+        for side, tokens in (("fw", fw), ("bw", bw))
+    ]
+    row = {label: r for r, label in enumerate(order)}
+    return (ag.concat(last, axis=1) @ params["kinit.proj"])[np.array([row[label] for label in labels])]
 
 
 def to_dot(graph: KnowledgeGraph) -> str:

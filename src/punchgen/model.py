@@ -31,12 +31,12 @@ import numpy as np
 
 from . import autograd as ag
 from .config import ModelConfig
-from .graph_encoder import encode_knowledge, init_gat_params
+from .graph_encoder import encode_knowledge, init_gat_params, merge_heads, split_heads
 from .kgraph import build_graph, init_node_features, init_node_params
 from .tokenizer import Tokenizer
 
 MASK_OFF = -1e30
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class LengthError(Exception):
@@ -137,26 +137,16 @@ def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str
     """Standard multi-head attention with queries q_in and keys/values kv_in."""
     t, d = q_in.shape
     s = kv_in.shape[0]
-    dh = d // n_heads
-    q = q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"]
-    k = kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"]
-    v = kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"]
-    bias = None
+    q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
+    k = split_heads(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], n_heads)
+    v = split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads)
+    logits = (q @ ag.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(d // n_heads))
     if causal:
-        bias = ag.Tensor(np.triu(np.full((t, s), MASK_OFF), k=1))
-    heads = []
-    scale = 1.0 / np.sqrt(dh)
-    for m in range(n_heads):
-        sl = slice(m * dh, (m + 1) * dh)
-        logits = (q[:, sl] @ k[:, sl].T) * scale
-        if bias is not None:
-            logits = logits + bias
-        alpha = ag.softmax(logits, axis=1)
-        if trace is not None:
-            trace.append((trace_tag, alpha.data))
-        heads.append(alpha @ v[:, sl])
-    ctx = ag.concat(heads, axis=1)
-    return ctx @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+        logits = logits + ag.Tensor(np.triu(np.full((t, s), MASK_OFF), k=1))
+    alpha = ag.softmax(logits, axis=-1)
+    if trace is not None:
+        trace.extend(zip([trace_tag] * n_heads, alpha.data))
+    return merge_heads(alpha @ v) @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
 def feed_forward(x: ag.Tensor, p: dict, prefix: str) -> ag.Tensor:

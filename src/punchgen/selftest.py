@@ -292,14 +292,11 @@ def check_attention_normalization():
         graph = build_graph([("dog", "instance of", "animal"), ("dog", "chases", "cat")])
         feats = ag.Tensor(rng.normal(size=(graph.n_nodes, model.cfg.d_model)))
         mask = in_neighbor_mask(graph.n_nodes, graph.edges)
-        layer = [
-            {w: model.params[f"gat.0.{m}.{w}"] for w in ("wq", "wk", "wv")}
-            for m in range(model.cfg.n_heads)
-        ]
+        layer = {w: model.params[f"gat.0.{w}"] for w in ("wq", "wk", "wv")}
         with ag.no_grad():
-            for alpha in gat_attention(feats, layer, mask):
-                worst = max(worst, float(np.abs(alpha.data.sum(axis=1) - 1.0).max()))
-                rows += alpha.shape[0]
+            alpha = gat_attention(feats, layer, mask, model.cfg.n_heads).data
+        worst = max(worst, float(np.abs(alpha.sum(axis=-1) - 1.0).max()))
+        rows += alpha.shape[0] * alpha.shape[1]
     return ("attention-normalization", worst <= 1e-6,
             f"max |row sum - 1| = {worst:.2e} over {rows} rows")
 

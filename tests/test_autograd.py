@@ -115,7 +115,9 @@ class TestBinaryOps:
         np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-8)
 
-    @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 5)), ((3, 4), (4,)), ((4,), (4, 5)), ((4,), (4,))])
+    @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 5)), ((3, 4), (4,)), ((4,), (4, 5)), ((4,), (4,)),
+                                       ((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+                                       ((2, 3, 4), (4,))])
     def test_matmul(self, sa, sb):
         rng = np.random.default_rng(3)
         da, db = rng.normal(size=sa), rng.normal(size=sb)

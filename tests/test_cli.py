@@ -159,6 +159,33 @@ class TestGenerateFlags:
         assert not paths[2].exists()
 
 
+class TestFlagChecks:
+    """Bad values exit 1 before any input is read or output written."""
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--batch-size", "0", "batch_size"),
+        ("--learning-rate", "-1", "learning_rate"),
+        ("--eval-every", "0", "eval_every"),
+        ("--max-steps", "0", "max_steps"),
+    ])
+    def test_bad_train_override_is_usage_error(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "ckpt"
+        code = run_cli("train", "pretrain", "--data", str(tmp_path / "missing"),
+                       "--out", str(out), flag, value)
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_max_per_entity_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        code = run_cli("knowledge", "annotate", "--input", str(tmp_path / "missing.jsonl"),
+                       "--fixtures", str(FIXTURES / "knowledge.json"), "--output", str(out),
+                       "--max-per-entity", "0")
+        assert code == 1
+        assert "--max-per-entity must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluateCli:
     def test_table_and_json_modes(self, tmp_path, capsys):
         hyps = tmp_path / "h.txt"
@@ -202,6 +229,13 @@ class TestConfigPlumbing:
         assert cfg.model.vocab_size == 25000
         assert cfg.train.batch_size == 16 and cfg.train.learning_rate == 0.001
         assert cfg.beam == 5
+
+    @pytest.mark.parametrize("field", ["max_steps", "eval_every", "patience"])
+    def test_train_config_rejects_counts_below_one(self, field):
+        from punchgen.config import TrainConfig
+
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})
 
     def test_unknown_preset(self):
         from punchgen.config import preset

@@ -4,6 +4,7 @@ import pytest
 from punchgen import autograd as ag
 from punchgen.config import ModelConfig
 from punchgen.graph_encoder import (
+    GAT_WEIGHTS,
     encode_knowledge,
     gat_attention,
     gat_layer,
@@ -25,20 +26,24 @@ def make_graph(n_nodes, edges, rng=None, features=None):
 
 
 def random_layer(rng, cfg=CFG):
-    return [
-        {w: ag.Tensor(rng.normal(size=(cfg.d_model, cfg.d_head)), requires_grad=True)
-         for w in ("wq", "wk", "wv")}
-        for _ in range(cfg.n_heads)
-    ]
+    """Stacked weights: head m owns columns m*d_head:(m+1)*d_head."""
+    return {w: ag.Tensor(rng.normal(size=(cfg.d_model, cfg.n_heads * cfg.d_head)), requires_grad=True)
+            for w in GAT_WEIGHTS}
+
+
+def head_weights(layer, cfg=CFG):
+    """Per-head (d_model, d_head) column blocks of a stacked layer."""
+    return [{w: t.data[:, m * cfg.d_head:(m + 1) * cfg.d_head] for w, t in layer.items()}
+            for m in range(cfg.n_heads)]
 
 
 def dense_softmax_oracle(h, layer, mask):
-    """Reference attention: explicit -inf masking and per-row softmax."""
+    """Reference attention: explicit -inf masking and per-row softmax, head by head."""
     n = h.shape[0]
     out = []
-    for head in layer:
-        q = h @ head["wq"].data
-        k = h @ head["wk"].data
+    for head in head_weights(layer):
+        q = h @ head["wq"]
+        k = h @ head["wk"]
         logits = np.full((n, n), -np.inf)
         for i in range(n):
             for j in range(n):
@@ -53,8 +58,8 @@ def layer_oracle(h, layer, mask, slope=0.2):
     """Straight-line reference for one attention layer."""
     alphas = dense_softmax_oracle(h, layer, mask)
     heads = []
-    for head, alpha in zip(layer, alphas):
-        v = h @ head["wv"].data
+    for head, alpha in zip(head_weights(layer), alphas):
+        v = h @ head["wv"]
         pre = alpha @ v
         heads.append(np.where(pre > 0, pre, slope * pre))
     return np.concatenate(heads, axis=1)
@@ -65,19 +70,16 @@ class TestAttention:
         g = make_graph(1, [])
         mask = in_neighbor_mask(1, [])
         layer = random_layer(np.random.default_rng(1))
-        for alpha in gat_attention(g.features, layer, mask):
-            np.testing.assert_allclose(alpha.data, [[1.0]])
+        alphas = gat_attention(g.features, layer, mask, CFG.n_heads)
+        assert alphas.shape == (CFG.n_heads, 1, 1)
+        np.testing.assert_allclose(alphas.data, 1.0)
 
     def test_zero_params_give_uniform(self):
         g = make_graph(3, [(1, 0), (2, 0)])
         mask = in_neighbor_mask(3, [(1, 0), (2, 0)])
-        layer = [
-            {w: ag.Tensor(np.zeros((CFG.d_model, CFG.d_head))) for w in ("wq", "wk", "wv")}
-            for _ in range(CFG.n_heads)
-        ]
-        alphas = gat_attention(g.features, layer, mask)
-        for alpha in alphas:
-            np.testing.assert_allclose(alpha.data[0], [1 / 3, 1 / 3, 1 / 3])
+        layer = {w: ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))) for w in GAT_WEIGHTS}
+        for alpha in gat_attention(g.features, layer, mask, CFG.n_heads).data:
+            np.testing.assert_allclose(alpha[0], [1 / 3, 1 / 3, 1 / 3])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(2)
@@ -85,41 +87,39 @@ class TestAttention:
         g = make_graph(5, edges, rng)
         mask = in_neighbor_mask(5, edges)
         layer = random_layer(rng)
-        alphas = gat_attention(g.features, layer, mask)
+        alphas = gat_attention(g.features, layer, mask, CFG.n_heads)
         want = dense_softmax_oracle(g.features.data, layer, mask)
-        for got, expect in zip(alphas, want):
-            np.testing.assert_allclose(got.data, expect, atol=1e-12)
+        assert alphas.shape == (CFG.n_heads, 5, 5)
+        for got, expect in zip(alphas.data, want):
+            np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_rows_normalize(self):
         rng = np.random.default_rng(3)
         edges = [(0, 1), (2, 1), (1, 0)]
         g = make_graph(3, edges, rng)
         mask = in_neighbor_mask(3, edges)
-        for alpha in gat_attention(g.features, random_layer(rng), mask):
-            np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0, atol=1e-6)
+        alphas = gat_attention(g.features, random_layer(rng), mask, CFG.n_heads)
+        np.testing.assert_allclose(alphas.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_non_neighbors_get_zero_weight(self):
         rng = np.random.default_rng(4)
         edges = [(0, 1)]
         g = make_graph(3, edges, rng)
         mask = in_neighbor_mask(3, edges)
-        for alpha in gat_attention(g.features, random_layer(rng), mask):
-            assert alpha.data[1, 2] == 0.0
-            assert alpha.data[2, 0] == 0.0
+        for alpha in gat_attention(g.features, random_layer(rng), mask, CFG.n_heads).data:
+            assert alpha[1, 2] == 0.0
+            assert alpha[2, 0] == 0.0
 
 
 class TestLayer:
     def test_isolated_node_identity_passthrough(self):
         rng = np.random.default_rng(5)
         g = make_graph(1, [], rng)
-        eye = np.eye(CFG.d_model)
-        layer = [
-            {"wq": ag.Tensor(np.zeros((CFG.d_model, CFG.d_head))),
-             "wk": ag.Tensor(np.zeros((CFG.d_model, CFG.d_head))),
-             "wv": ag.Tensor(eye[:, m * CFG.d_head:(m + 1) * CFG.d_head])}
-            for m in range(CFG.n_heads)
-        ]
-        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), activation=lambda t: t)
+        layer = {"wq": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
+                 "wk": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
+                 "wv": ag.Tensor(np.eye(CFG.d_model))}
+        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), CFG.n_heads,
+                        activation=lambda t: t)
         np.testing.assert_allclose(out.data, g.features.data)
 
     def test_equal_features_stay_equal(self):
@@ -127,7 +127,7 @@ class TestLayer:
         feats = np.tile(rng.normal(size=(1, CFG.d_model)), (4, 1))
         edges = [(0, 1), (1, 2), (2, 3), (3, 0)]
         g = make_graph(4, edges, features=feats)
-        out = gat_layer(g.features, random_layer(rng), in_neighbor_mask(4, edges))
+        out = gat_layer(g.features, random_layer(rng), in_neighbor_mask(4, edges), CFG.n_heads)
         for row in out.data[1:]:
             np.testing.assert_allclose(row, out.data[0], atol=1e-12)
 
@@ -137,7 +137,7 @@ class TestLayer:
         g = make_graph(6, edges, rng)
         mask = in_neighbor_mask(6, edges)
         layer = random_layer(rng)
-        out = gat_layer(g.features, layer, mask)
+        out = gat_layer(g.features, layer, mask, CFG.n_heads)
         np.testing.assert_allclose(out.data, layer_oracle(g.features.data, layer, mask),
                                    atol=1e-6)
 
@@ -152,6 +152,19 @@ class TestEncodeKnowledge:
         params = init_gat_params(rng, cfg)
         return g, params, cfg
 
+    def test_init_stacks_head_blocks_in_draw_order(self):
+        # one (d_model, d_head) Xavier block per (layer, head, weight), in that order
+        cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=4, d_ff=8, vocab_size=64, gat_layers=2)
+        params = init_gat_params(np.random.default_rng(3), cfg)
+        rng = np.random.default_rng(3)
+        dh = cfg.d_head
+        for l in range(cfg.gat_layers):
+            for m in range(cfg.n_heads):
+                for w in ("wq", "wk", "wv"):
+                    block = ag.xavier_uniform(rng, (cfg.d_model, dh))
+                    np.testing.assert_array_equal(params[f"gat.{l}.{w}"].data[:, m * dh:(m + 1) * dh],
+                                                  block)
+
     def test_zero_layers_is_identity(self):
         g, params, _ = self._graph_and_params()
         cfg0 = ModelConfig(d_model=4, n_blocks=1, n_heads=2, d_ff=8, vocab_size=64,
@@ -162,10 +175,9 @@ class TestEncodeKnowledge:
     def test_two_layers_compose(self):
         g, params, cfg = self._graph_and_params()
         mask = in_neighbor_mask(g.n_nodes, g.edges)
-        layers = [
-            [{w: params[f"gat.{l}.{m}.{w}"] for w in ("wq", "wk", "wv")} for m in range(cfg.n_heads)]
-            for l in range(2)
-        ]
+        assert sorted(params) == [f"gat.{l}.{w}" for l in range(2) for w in sorted(GAT_WEIGHTS)]
+        assert params["gat.0.wq"].shape == (cfg.d_model, cfg.n_heads * cfg.d_head)
+        layers = [{w: params[f"gat.{l}.{w}"] for w in GAT_WEIGHTS} for l in range(2)]
         h1 = layer_oracle(g.features.data, layers[0], mask, slope=cfg.leaky_slope)
         h2 = layer_oracle(h1, layers[1], mask, slope=cfg.leaky_slope)
         out = encode_knowledge(g, params, cfg)
@@ -224,16 +236,3 @@ class TestEncodeKnowledge:
         g = KnowledgeGraph(nodes=[Node(0, "entity", "x")], edges=[])
         with pytest.raises(ValueError):
             encode_knowledge(g, {}, CFG)
-
-    def test_attention_dump_is_json_friendly(self):
-        import json
-
-        from punchgen.graph_encoder import attention_dump
-
-        g, params, cfg = self._graph_and_params(seed=15)
-        dump = attention_dump(g, params, cfg)
-        assert len(dump) == cfg.gat_layers
-        assert len(dump[0]) == cfg.n_heads
-        text = json.dumps(dump)
-        back = json.loads(text)
-        np.testing.assert_allclose(np.array(back[0][0]).sum(axis=1), 1.0, atol=1e-6)

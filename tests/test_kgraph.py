@@ -6,8 +6,9 @@ from punchgen.kgraph import (
     ENTITY,
     RELATION,
     REVERSE,
+    KnowledgeGraph,
+    Node,
     build_graph,
-    encode_label,
     init_node_features,
     init_node_params,
     to_dot,
@@ -174,6 +175,11 @@ def lstm_trace_numpy(x, w_ih, w_hh, b, h_dim):
     return h
 
 
+def label_graph(labels):
+    """Edgeless graph with one entity node per label, in order."""
+    return KnowledgeGraph(nodes=[Node(i, ENTITY, label) for i, label in enumerate(labels)], edges=[])
+
+
 class TestNodeFeatures:
     def test_identical_labels_share_feature(self, tok):
         rng = np.random.default_rng(0)
@@ -186,35 +192,58 @@ class TestNodeFeatures:
         drug_row_2 = f2.data[1]
         np.testing.assert_array_equal(drug_row_1, drug_row_2)
 
+    def _expected_rows(self, labels, params, tok):
+        """Per-label reference: forward and backward unrolled traces, concatenated."""
+        rows = []
+        for label in labels:
+            x = params["kinit.emb"].data[tok.encode(label)]
+            fwd = lstm_trace_numpy(x, params["kinit.fw.w_ih"].data,
+                                   params["kinit.fw.w_hh"].data, params["kinit.fw.b"].data, CFG.d_rnn)
+            bwd = lstm_trace_numpy(x[::-1], params["kinit.bw.w_ih"].data,
+                                   params["kinit.bw.w_hh"].data, params["kinit.bw.b"].data, CFG.d_rnn)
+            rows.append(np.concatenate([fwd, bwd]))
+        return np.array(rows)
+
     def test_single_token_label(self, tok):
         rng = np.random.default_rng(1)
         params = init_node_params(rng, tok.vocab_size, CFG)
-        ids = tok.encode("alpha")
-        assert len(ids) == 1
-        feat = encode_label("alpha", params, tok, CFG)
-        x = params["kinit.emb"].data[ids]
-        fwd = lstm_trace_numpy(x, params["kinit.fw.w_ih"].data,
-                               params["kinit.fw.w_hh"].data, params["kinit.fw.b"].data, CFG.d_rnn)
-        bwd = lstm_trace_numpy(x, params["kinit.bw.w_ih"].data,
-                               params["kinit.bw.w_hh"].data, params["kinit.bw.b"].data, CFG.d_rnn)
-        expect = np.concatenate([fwd, bwd]) @ params["kinit.proj"].data
+        assert len(tok.encode("alpha")) == 1
+        feat = init_node_features(label_graph(["alpha"]), params, tok, CFG)
+        expect = self._expected_rows(["alpha"], params, tok) @ params["kinit.proj"].data
         np.testing.assert_allclose(feat.data, expect, atol=1e-12)
 
     def test_multiword_label_matches_unrolled_trace(self, tok):
         rng = np.random.default_rng(2)
         params = init_node_params(rng, tok.vocab_size, CFG)
         label = "president of the united states"
-        ids = tok.encode(label)
-        assert len(ids) >= 2
-        feat = encode_label(label, params, tok, CFG)
-        assert np.all(np.isfinite(feat.data)) and feat.shape == (CFG.d_model,)
-        x = params["kinit.emb"].data[ids]
-        fwd = lstm_trace_numpy(x, params["kinit.fw.w_ih"].data,
-                               params["kinit.fw.w_hh"].data, params["kinit.fw.b"].data, CFG.d_rnn)
-        bwd = lstm_trace_numpy(x[::-1], params["kinit.bw.w_ih"].data,
-                               params["kinit.bw.w_hh"].data, params["kinit.bw.b"].data, CFG.d_rnn)
-        expect = np.concatenate([fwd, bwd]) @ params["kinit.proj"].data
+        assert len(tok.encode(label)) >= 2
+        feat = init_node_features(label_graph([label]), params, tok, CFG)
+        assert np.all(np.isfinite(feat.data)) and feat.shape == (1, CFG.d_model)
+        expect = self._expected_rows([label], params, tok) @ params["kinit.proj"].data
         np.testing.assert_allclose(feat.data, expect, atol=1e-12)
+
+    def test_mixed_lengths_match_trace_in_both_directions(self, tok):
+        rng = np.random.default_rng(4)
+        params = init_node_params(rng, tok.vocab_size, CFG)
+        # identity projection: each row is [forward last state, backward last state]
+        params["kinit.proj"].data = np.eye(2 * CFG.d_rnn)
+        labels = ["of alpha", "alpha", "president of the united states", "alpha of", "drug", "a"]
+        lengths = [len(tok.encode(label)) for label in labels]
+        assert {1, 2} <= set(lengths) and max(lengths) >= 5
+        # repeated labels share a row; nodes come back in graph order
+        graph = label_graph(labels + ["alpha", "of alpha"])
+        feat = init_node_features(graph, params, tok, CFG)
+        expect = self._expected_rows(labels + ["alpha", "of alpha"], params, tok)
+        assert feat.shape == expect.shape
+        np.testing.assert_allclose(feat.data[:, :CFG.d_rnn], expect[:, :CFG.d_rnn], atol=1e-12)
+        np.testing.assert_allclose(feat.data[:, CFG.d_rnn:], expect[:, CFG.d_rnn:], atol=1e-12)
+        np.testing.assert_array_equal(feat.data[6], feat.data[1])
+        np.testing.assert_array_equal(feat.data[7], feat.data[0])
+
+    def test_label_without_tokens_rejected(self, tok):
+        params = init_node_params(np.random.default_rng(6), tok.vocab_size, CFG)
+        with pytest.raises(ValueError, match="produced no tokens"):
+            init_node_features(label_graph(["alpha", ""]), params, tok, CFG)
 
     def test_reverse_label_uses_marker_token(self, tok):
         ids = tok.encode("<r>instance of")

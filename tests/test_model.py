@@ -270,7 +270,7 @@ class TestGradients:
         rng = np.random.default_rng(9)
         checked = 0
         for name in ["dec.0.gate.wg", "dec.1.fuse.wq", "dec.0.fuse.wo", "out.w",
-                     "gat.0.1.wk", "kinit.fw.w_ih", "kinit.emb", "emb",
+                     "gat.0.wk", "kinit.fw.w_ih", "kinit.emb", "emb",
                      "enc.0.attn.wq", "dec.1.ff.w1"]:
             p = fused.params[name]
             flat = p.data.reshape(-1)
@@ -309,13 +309,39 @@ class TestGradients:
         g = fused.params["dec.0.gate.wg"].grad
         assert g is not None and np.abs(g).sum() > 0
 
+    def test_tape_size_does_not_grow_with_heads(self, tok):
+        # heads are a batch axis: the same ops run whatever their number
+        src = np.asarray(tok.encode("the cat sat"))
+        tgt = np.asarray([tok.bos_id] + tok.encode("on the mat") + [tok.eos_id])
+        counts = []
+        for heads in (2, 4):
+            cfg = ModelConfig(d_model=8, n_blocks=2, n_heads=heads, d_ff=16, vocab_size=400,
+                              max_len=32, dropout=0.0)
+            model = Model(init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=True),
+                          cfg, tok, fused=True)
+            loss, _ = model.sequence_loss(src, tgt, TRIPLES)
+            counts.append(tape_nodes(loss))
+        assert counts[0] == counts[1]
+
+
+def tape_nodes(loss):
+    """Recorded operations reachable from a loss tensor."""
+    seen, stack, n = set(), [loss], 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            n += node._backward is not None
+            stack.extend(node._parents)
+    return n
+
 
 class TestPartition:
     def test_partition_names(self, fused):
         part = partition_names(fused.params)
         ko = set(part["knowledge_only"])
         assert "dec.0.gate.wg" in ko and "dec.1.fuse.wq" in ko
-        assert "kinit.emb" in ko and "gat.0.0.wv" in ko
+        assert "kinit.emb" in ko and "gat.0.wv" in ko and "gat.1.wq" in ko
         assert "emb" not in ko and "out.w" not in ko and "dec.0.cross.wq" not in ko
         assert set(part["pretrainable"]) | ko == set(fused.params)
 
@@ -338,6 +364,16 @@ class TestCheckpoint:
         for name in params:
             np.testing.assert_array_equal(params[name].data, fused.params[name].data)
         assert manifest["partition"] == partition_names(fused.params)
+
+    def test_older_version_refused(self, fused, tok, tmp_path, monkeypatch):
+        import punchgen.model as model_module
+
+        path = tmp_path / "model.ckpt"
+        monkeypatch.setattr(model_module, "CHECKPOINT_VERSION", 1)
+        save_params(path, fused.params, TINY, tok, fused=True)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            load_params(path)
 
     def test_load_model_runs(self, fused, tok, tmp_path):
         path = tmp_path / "model.ckpt"
