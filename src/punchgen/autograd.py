@@ -216,11 +216,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def _fold(x: np.ndarray) -> np.ndarray:
-    """(..., r, c) -> (r, prod(...) * c): the batch axes laid along the columns."""
-    return np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy semantics: 1-D operands, leading batch axes, broadcasting."""
     a, b = _wrap(a), _wrap(b)
@@ -232,14 +227,11 @@ def matmul(a, b) -> Tensor:
         y = b.data[:, None] if b.data.ndim == 1 else b.data
         g = grad.reshape(np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
                          + (x.shape[-2], y.shape[-1]))
-        # a 2-D operand shared across a batch gets one 2-D product over the folded batch axes
         if a.requires_grad:
-            if x.ndim == 2 and g.ndim > 2:
-                ga = _fold(g) @ _fold(y).T
-            else:
-                ga = g @ np.swapaxes(y, -1, -2)
+            ga = g @ np.swapaxes(y, -1, -2)
             a._accumulate(_unbroadcast(ga, x.shape).reshape(a.data.shape))
         if b.requires_grad:
+            # a 2-D weight shared across a batch gets one 2-D product over the folded batch axes
             if y.ndim == 2 and g.ndim > 2:
                 gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
@@ -506,10 +498,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # -------------------------------------------------------------------- init helpers
 
 
+def xavier_bound(fan_in: int, fan_out: int) -> float:
+    """Half-width of the Glorot/Xavier uniform interval."""
+    return math.sqrt(6.0 / (fan_in + fan_out))
+
+
 def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     """Glorot/Xavier uniform init for a weight matrix of the given shape."""
     fan_in, fan_out = (shape[0], shape[-1]) if len(shape) > 1 else (shape[0], shape[0])
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
+    bound = xavier_bound(fan_in, fan_out)
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -27,7 +27,7 @@ GAT_WEIGHTS = ("wq", "wk", "wv")
 def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.Tensor]:
     """Xavier blocks of (d_model, d_head) drawn in (layer, head, weight) order, then stacked."""
     d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
-    bound = np.sqrt(6.0 / (d + dh))
+    bound = ag.xavier_bound(d, dh)
     params = {}
     for layer in range(cfg.gat_layers):
         blocks = rng.uniform(-bound, bound, size=(heads, len(GAT_WEIGHTS), d, dh))

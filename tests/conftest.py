@@ -1,8 +1,13 @@
 """Collects ACCEPTANCE result lines and prints them after the test run,
-and builds the environment for tests that run the CLI in a subprocess."""
+builds the environment for tests that run the CLI in a subprocess, and
+puts the repository root on sys.path for `perfbench.tracing`."""
 
 import os
+import sys
 from pathlib import Path
+
+# the repository root, so tests count tape nodes with the benchmark's own counter
+sys.path.append(str(Path(__file__).resolve().parents[1]))
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -18,6 +18,8 @@ from punchgen.model import (
 )
 from punchgen.tokenizer import train_tokenizer
 
+from perfbench.tracing import tape_nodes
+
 TINY = ModelConfig(d_model=8, n_blocks=2, n_heads=2, d_ff=16, vocab_size=400,
                    max_len=32, dropout=0.0)
 
@@ -322,18 +324,6 @@ class TestGradients:
             loss, _ = model.sequence_loss(src, tgt, TRIPLES)
             counts.append(tape_nodes(loss))
         assert counts[0] == counts[1]
-
-
-def tape_nodes(loss):
-    """Recorded operations reachable from a loss tensor."""
-    seen, stack, n = set(), [loss], 0
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            n += node._backward is not None
-            stack.extend(node._parents)
-    return n
 
 
 class TestPartition:
