@@ -169,10 +169,6 @@ class Tensor:
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
 
-    @property
-    def T(self):
-        return transpose(self)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -369,6 +365,13 @@ def transpose(a, axes=None) -> Tensor:
                 a._accumulate(np.transpose(grad, inv))
 
     return _make(data, (a,), backward)
+
+
+def swapaxes(a, axis1: int, axis2: int) -> Tensor:
+    """Exchange two axes; negative axes count from the end, so leading batch axes pass through."""
+    axes = list(range(_wrap(a).ndim))
+    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
+    return transpose(a, tuple(axes))
 
 
 def concat(tensors, axis=0) -> Tensor:

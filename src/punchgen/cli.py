@@ -73,6 +73,8 @@ def cmd_corpus_build(args) -> int:
 
     cfg = _load_run_config(args)
     threshold = args.dedup_threshold if args.dedup_threshold is not None else cfg.dedup_threshold
+    if not 0.0 < threshold <= 1.0:
+        raise UsageError(f"dedup threshold must be in (0, 1], got {threshold}")
     split = build_corpus(args.input, dedup_threshold=threshold, seed=args.seed)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -92,6 +94,8 @@ def cmd_knowledge_annotate(args) -> int:
 
     if args.max_per_entity < 1:
         raise UsageError(f"--max-per-entity must be at least 1, got {args.max_per_entity}")
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     cfg = _load_run_config(args)
     records = read_jsonl(args.input)
     if args.fixtures:

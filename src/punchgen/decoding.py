@@ -1,7 +1,8 @@
 """Beam-search punchline generation.
 
-The search itself is generic over a step function mapping a token
-prefix to next-token log-probabilities, so toy models plug in directly.
+The search itself is generic over a step function mapping a batch of
+equal-length token prefixes to next-token log-probabilities, one row per
+prefix, so toy models plug in directly and a search step is one call.
 Hypotheses rank by total log-probability during the search; the final
 winner is chosen by length-normalized score (total / generated tokens)
 unless raw-score ranking is requested.
@@ -36,26 +37,25 @@ def beam_search(step_fn, bos_id: int, eos_id: int, beam: int = 5, max_len: int =
                 length_normalize: bool = True) -> BeamHypothesis:
     """Generic beam search over next-token log-probability distributions.
 
-    step_fn(tokens) must return log-probabilities for the next token
-    given the prefix. Finished hypotheses are never extended; the search
+    step_fn maps the live hypotheses' tokens, one (k, t) int array, to (k, vocab)
+    next-token log-probabilities. Finished hypotheses are never extended; the search
     stops when every beam has finished or max_len tokens were generated.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     beams = [BeamHypothesis(tokens=[bos_id])]
     for _ in range(max_len):
-        if all(h.finished for h in beams):
+        live = [h for h in beams if not h.finished]
+        if not live:
             break
+        logp = step_fn(np.array([h.tokens for h in live], dtype=np.intp))
+        top = np.argsort(logp, axis=-1)[:, ::-1][:, :beam]
         candidates = [h for h in beams if h.finished]
-        for hyp in beams:
-            if hyp.finished:
-                continue
-            logp = step_fn(hyp.tokens)
-            top = np.argsort(logp)[::-1][:beam]
-            for tok in top:
+        for hyp, row, toks in zip(live, logp, top):
+            for tok in toks:
                 candidates.append(BeamHypothesis(
                     tokens=hyp.tokens + [int(tok)],
-                    logprob=hyp.logprob + float(logp[tok]),
+                    logprob=hyp.logprob + float(row[tok]),
                     finished=int(tok) == eos_id,
                 ))
         candidates.sort(key=lambda h: h.logprob, reverse=True)
@@ -66,9 +66,9 @@ def beam_search(step_fn, bos_id: int, eos_id: int, beam: int = 5, max_len: int =
 
 
 def model_step_fn(model: Model, memory: ag.Tensor, knowledge: ag.Tensor | None):
-    def step(tokens: list[int]) -> np.ndarray:
+    def step(prefixes: np.ndarray) -> np.ndarray:
         with ag.no_grad():
-            dist = model.decode_step(np.asarray(tokens), memory, knowledge)
+            dist = model.decode_step(prefixes, memory, knowledge)
         with np.errstate(divide="ignore"):
             return np.log(dist)
 

@@ -39,15 +39,13 @@ def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.
 
 
 def split_heads(x: ag.Tensor, n_heads: int) -> ag.Tensor:
-    """(n, n_heads * d_head) -> (n_heads, n, d_head)."""
-    n, width = x.shape
-    return ag.transpose(ag.reshape(x, (n, n_heads, width // n_heads)), (1, 0, 2))
+    """(..., n, n_heads * d_head) -> (..., n_heads, n, d_head)."""
+    return ag.swapaxes(ag.reshape(x, (*x.shape[:-1], n_heads, -1)), -3, -2)
 
 
 def merge_heads(x: ag.Tensor) -> ag.Tensor:
-    """(n_heads, n, d_head) -> (n, n_heads * d_head), heads side by side."""
-    heads, n, dh = x.shape
-    return ag.reshape(ag.transpose(x, (1, 0, 2)), (n, heads * dh))
+    """(..., n_heads, n, d_head) -> (..., n, n_heads * d_head), heads side by side."""
+    return ag.reshape(ag.swapaxes(x, -3, -2), (*x.shape[:-3], x.shape[-2], -1))
 
 
 def in_neighbor_mask(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -59,10 +57,10 @@ def in_neighbor_mask(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
 
 
 def gat_attention(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> ag.Tensor:
-    """Attention (n_heads, n, n); row i of each head is a distribution over N(i)."""
+    """Attention (..., n_heads, n, n); row i of each head is a distribution over N(i)."""
     q = split_heads(h @ layer["wq"], n_heads)
     k = split_heads(h @ layer["wk"], n_heads)
-    logits = q @ ag.transpose(k, (0, 2, 1)) + ag.Tensor(np.where(mask, 0.0, MASK_OFF))
+    logits = q @ ag.swapaxes(k, -1, -2) + ag.Tensor(np.where(mask, 0.0, MASK_OFF))
     return ag.softmax(logits, axis=-1)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -99,14 +100,27 @@ class FixtureProvider:
 # ------------------------------------------------------------------ HTTP plumbing
 
 
+# serialises appends from every cache object, so clients sharing a path never interleave lines
+_CACHE_LOCK = threading.Lock()
+
+
 class _ResponseCache:
-    """Tiny on-disk JSON cache for live provider responses."""
+    """On-disk cache for live provider responses: one JSON line {key: value} per put.
+
+    Clients on one path append to the same file and loading merges every
+    line, so a linker and a triple store keep each other's entries.
+    """
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path else None
         self.data: dict[str, object] = {}
         if self.path and self.path.exists():
-            self.data = json.loads(self.path.read_text(encoding="utf-8"))
+            for line in filter(None, self.path.read_text(encoding="utf-8").split("\n")):
+                try:
+                    self.data.update(json.loads(line))
+                except ValueError as exc:
+                    # a crash during an append leaves a line cut short
+                    log.warning("%s: skipping cache line cut short (%s)", self.path, exc)
 
     @staticmethod
     def key(*parts: str) -> str:
@@ -118,7 +132,10 @@ class _ResponseCache:
     def put(self, key: str, value) -> None:
         self.data[key] = value
         if self.path:
-            self.path.write_text(json.dumps(self.data), encoding="utf-8")
+            # each line starts with its newline, so it never runs on from a line cut short
+            line = "\n" + json.dumps({key: value})
+            with _CACHE_LOCK, self.path.open("a", encoding="utf-8") as fh:
+                fh.write(line)
 
 
 def _request_with_retries(method, url, *, unavailable_exc, timeout, retries, backoff, **kwargs):
@@ -280,8 +297,8 @@ def annotate_dataset(records: list[JokeRecord], linker, triple_store,
     Distinct records run concurrently up to the in-flight cap; results
     merge back in input order.
     """
-    if in_flight <= 1:
-        return [annotate_record(r, linker, triple_store, max_per_entity) for r in records]
+    if in_flight < 1:
+        raise ValueError(f"in_flight must be >= 1, got {in_flight}")
     with ThreadPoolExecutor(max_workers=in_flight) as pool:
         return list(pool.map(
             lambda r: annotate_record(r, linker, triple_store, max_per_entity), records

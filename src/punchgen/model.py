@@ -134,18 +134,18 @@ def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None) -> ag.Tens
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
                          n_heads: int, causal: bool = False,
                          trace: list | None = None, trace_tag: str = "") -> ag.Tensor:
-    """Standard multi-head attention with queries q_in and keys/values kv_in."""
-    t, d = q_in.shape
-    s = kv_in.shape[0]
+    """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast."""
+    t, d = q_in.shape[-2:]
+    s = kv_in.shape[-2]
     q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
     k = split_heads(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], n_heads)
     v = split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads)
-    logits = (q @ ag.transpose(k, (0, 2, 1))) * (1.0 / np.sqrt(d // n_heads))
+    logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
     if causal:
         logits = logits + ag.Tensor(np.triu(np.full((t, s), MASK_OFF), k=1))
     alpha = ag.softmax(logits, axis=-1)
     if trace is not None:
-        trace.extend(zip([trace_tag] * n_heads, alpha.data))
+        trace.extend((trace_tag, a) for a in alpha.data.reshape(-1, t, s))
     return merge_heads(alpha @ v) @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
@@ -176,7 +176,7 @@ class Model:
 
     def _embed(self, ids: np.ndarray) -> ag.Tensor:
         emb = ag.embedding(self.params["emb"], ids) * np.sqrt(self.cfg.d_model)
-        return emb + ag.Tensor(sinusoidal_positions(len(ids), self.cfg.d_model))
+        return emb + ag.Tensor(sinusoidal_positions(ids.shape[-1], self.cfg.d_model))
 
     # ----------------------------------------------------------------- encoder
 
@@ -211,10 +211,10 @@ class Model:
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                       force_lambda_one: bool = False, dropout_rng=None,
                       trace: list | None = None) -> ag.Tensor:
-        """Final decoder states for a BOS-initiated prefix."""
+        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t)."""
         ids = np.asarray(prefix_ids, dtype=np.intp)
-        if len(ids) > self.cfg.max_len:
-            raise LengthError(f"prefix has {len(ids)} tokens, max is {self.cfg.max_len}")
+        if ids.shape[-1] > self.cfg.max_len:
+            raise LengthError(f"prefix has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
         use_fusion = self.fused and knowledge is not None and not force_lambda_one
         y = self._embed(ids)
@@ -244,13 +244,14 @@ class Model:
 
     def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                     force_lambda_one: bool = False) -> np.ndarray:
-        """Next-token distribution (sums to 1) after the given prefix."""
-        if len(prefix_ids) == 0 or prefix_ids[0] != self.tokenizer.bos_id:
+        """Next-token distribution (sums to 1) after a prefix (t,), or one row per prefix of (k, t)."""
+        ids = np.asarray(prefix_ids, dtype=np.intp)
+        if ids.shape[-1] == 0 or np.any(ids[..., 0] != self.tokenizer.bos_id):
             raise ValueError("prefix must begin with BOS")
-        states = self.decode_states(prefix_ids, memory, knowledge,
-                                    force_lambda_one=force_lambda_one)
-        dist = ag.softmax(self.logits(states[-1:, :]), axis=1)
-        return dist.data[0]
+        states = self.decode_states(ids, memory, knowledge, force_lambda_one=force_lambda_one)
+        # a (1, d) row per prefix gives each product the 1-D call's shape, so rows match it bit for bit
+        dist = ag.softmax(self.logits(states[..., -1:, :]), axis=-1)
+        return dist.data[..., 0, :]
 
     # -------------------------------------------------------------------- loss
 

@@ -313,8 +313,8 @@ _TOY_TABLE = {
 _TOY_DEFAULT = np.array([0.980, 0.010, 0.010])
 
 
-def _toy_step(tokens):
-    return np.log(_TOY_TABLE.get(tuple(tokens[1:]), _TOY_DEFAULT))
+def _toy_step(prefixes):
+    return np.log([_TOY_TABLE.get(tuple(p[1:]), _TOY_DEFAULT) for p in np.asarray(prefixes).tolist()])
 
 
 @_timed
@@ -333,7 +333,7 @@ def check_beam_greedy(n_contexts: int = 50):
         best = beam_search(step, tok.bos_id, tok.eos_id, beam=1, max_len=6)
         greedy = [tok.bos_id]
         for _ in range(6):
-            nxt = int(np.argmax(step(greedy)))
+            nxt = int(np.argmax(step(np.array([greedy]))[0]))
             greedy.append(nxt)
             if nxt == tok.eos_id:
                 break
@@ -352,7 +352,7 @@ def check_beam_trap():
     def seq_logprob(seq):
         total = 0.0
         for i, t in enumerate(seq):
-            total += _toy_step([9] + list(seq[:i]))[t]
+            total += _toy_step([[9, *seq[:i]]])[0][t]
         return total
 
     seqs = []

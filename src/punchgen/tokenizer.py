@@ -132,20 +132,18 @@ class Tokenizer:
     # ------------------------------------------------------------------ file IO
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            fh.write("#punchgen-bpe v1\n")
-            fh.write("#vocab\n")
-            for tok in self.vocab:
-                fh.write(tok + "\n")
-            fh.write("#merges\n")
-            for a, b in self.merges:
-                fh.write(f"{a} {b}\n")
+        Path(path).write_text(self.dumps(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Tokenizer":
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-        if not lines or not lines[0].startswith("#punchgen-bpe"):
-            raise ValueError(f"{path}: not a tokenizer file")
+        return cls.loads(Path(path).read_text(encoding="utf-8"), _path=path)
+
+    @classmethod
+    def loads(cls, text: str, _path="<string>") -> "Tokenizer":
+        """Parse the text `dumps` writes; errors name `_path`."""
+        lines = text.split("\n")
+        if not lines[0].startswith("#punchgen-bpe"):
+            raise ValueError(f"{_path}: not a tokenizer file")
         vocab: list[str] = []
         merges: list[tuple[str, str]] = []
         section = None
@@ -161,18 +159,6 @@ class Tokenizer:
                     a, b = line.split(" ")
                     merges.append((a, b))
         return cls(vocab, merges)
-
-    @classmethod
-    def loads(cls, text: str, _path="<string>") -> "Tokenizer":
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".bpe", delete=False) as fh:
-            fh.write(text)
-            name = fh.name
-        try:
-            return cls.load(name)
-        finally:
-            Path(name).unlink(missing_ok=True)
 
     def dumps(self) -> str:
         out = ["#punchgen-bpe v1", "#vocab"]

@@ -185,6 +185,34 @@ class TestFlagChecks:
         assert "--max-per-entity must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_workers_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        code = run_cli("knowledge", "annotate", "--input", str(tmp_path / "missing.jsonl"),
+                       "--fixtures", str(FIXTURES / "knowledge.json"), "--output", str(out),
+                       "--workers", "0")
+        assert code == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1.5"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_dedup_threshold_is_usage_error(self, tmp_path, capsys, source, value):
+        from punchgen.config import RunConfig
+
+        out = tmp_path / "data"
+        if source == "flag":
+            extra = ["--dedup-threshold", value]
+        else:
+            cfg = tmp_path / "run.yaml"
+            RunConfig(dedup_threshold=float(value)).save(cfg)
+            extra = ["--config", str(cfg)]
+        # the input does not exist: reading it first would exit 2, not 1
+        code = run_cli("corpus", "build", "--input", str(tmp_path / "missing.txt"),
+                       "--output-dir", str(out), *extra)
+        assert code == 1
+        assert "dedup threshold must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCli:
     def test_table_and_json_modes(self, tmp_path, capsys):

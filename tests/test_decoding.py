@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from punchgen import autograd as ag
 from punchgen import decoding
 from punchgen.config import ModelConfig
 from punchgen.corpus import JokeRecord, write_jsonl
@@ -15,6 +16,7 @@ from punchgen.decoding import (
     rescore,
 )
 from punchgen.model import Model, init_params
+from punchgen.selftest import desk_model
 from punchgen.tokenizer import train_tokenizer
 
 TINY = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
@@ -32,15 +34,15 @@ TOY_TABLE = {
 TOY_DEFAULT = np.array([0.980, 0.010, 0.010])
 
 
-def toy_step(tokens):
-    prefix = tuple(tokens[1:])
-    return np.log(TOY_TABLE.get(prefix, TOY_DEFAULT))
+def toy_step(prefixes):
+    """Batched contract: (k, t) prefixes -> (k, 3) log-probabilities."""
+    return np.log([TOY_TABLE.get(tuple(p[1:]), TOY_DEFAULT) for p in np.asarray(prefixes).tolist()])
 
 
 def toy_sequence_logprob(seq):
     total = 0.0
     for i, tok in enumerate(seq):
-        total += toy_step([TOY_BOS] + list(seq[:i]))[tok]
+        total += toy_step([[TOY_BOS, *seq[:i]]])[0][tok]
     return total
 
 
@@ -80,7 +82,7 @@ class TestToyBeam:
         best = beam_search(toy_step, TOY_BOS, TOY_EOS, beam=3, max_len=4)
         running = 0.0
         for i in range(1, len(best.tokens)):
-            running += toy_step(best.tokens[:i])[best.tokens[i]]
+            running += toy_step([best.tokens[:i]])[0][best.tokens[i]]
             assert running <= 1e-12
         assert best.logprob <= 0.0
 
@@ -89,9 +91,48 @@ class TestToyBeam:
             beam_search(toy_step, TOY_BOS, TOY_EOS, beam=0)
 
     def test_max_len_forces_termination(self):
-        never_end = lambda tokens: np.log(np.array([1e-9, 0.5, 0.5 - 1e-9]))
+        never_end = lambda prefixes: np.log(np.tile([1e-9, 0.5, 0.5 - 1e-9], (len(prefixes), 1)))
         best = beam_search(never_end, TOY_BOS, TOY_EOS, beam=2, max_len=5)
         assert best.finished and len(best.tokens) == 6
+
+    @pytest.mark.parametrize("beam,max_len", [(1, 3), (3, 4), (8, 5)])
+    def test_one_step_call_per_search_step(self, beam, max_len):
+        calls = []
+
+        def counting_step(prefixes):
+            calls.append(np.asarray(prefixes).shape)
+            return toy_step(prefixes)
+
+        beam_search(counting_step, TOY_BOS, TOY_EOS, beam=beam, max_len=max_len)
+        assert 1 <= len(calls) <= max_len
+        # call i carries every live prefix of search step i, each i + 1 tokens long
+        assert [t for _, t in calls] == list(range(1, len(calls) + 1))
+        assert all(1 <= k <= beam for k, _ in calls)
+
+
+def reference_decode(model, rec, beam, max_len):
+    """Beam search one prefix at a time, each scored from teacher-forced decoder states."""
+    tok = model.tokenizer
+    with ag.no_grad():
+        memory = model.encode_setup(tok.encode(rec.setup))
+        knowledge = model.encode_triples(rec.triples) if model.fused else None
+        beams = [([tok.bos_id], 0.0, False)]
+        for _ in range(max_len):
+            if all(done for _, _, done in beams):
+                break
+            pool = [b for b in beams if b[2]]
+            for prefix, score, done in beams:
+                if done:
+                    continue
+                logits = model.logits(model.decode_states(prefix, memory, knowledge)).data[-1]
+                shifted = logits - logits.max()
+                logp = shifted - np.log(np.exp(shifted).sum())
+                for t in np.argsort(-logp, kind="stable")[:beam]:
+                    pool.append((prefix + [int(t)], score + logp[t], int(t) == tok.eos_id))
+            pool.sort(key=lambda b: -b[1])
+            beams = pool[:beam]
+    best = max(beams, key=lambda b: b[1] / max(len(b[0]) - 1, 1))
+    return tok.decode(best[0])
 
 
 TEXTS = ["the cat sat on the mat", "a dog walked into a bar", "beep boop"]
@@ -115,7 +156,7 @@ class TestModelBeam:
             best = beam_search(step, tok.bos_id, tok.eos_id, beam=1, max_len=8)
             greedy = [tok.bos_id]
             for _ in range(8):
-                nxt = int(np.argmax(step(greedy)))
+                nxt = int(np.argmax(step(np.array([greedy]))[0]))
                 greedy.append(nxt)
                 if nxt == tok.eos_id:
                     break
@@ -136,6 +177,18 @@ class TestModelBeam:
         best = beam_search(model_step_fn(model, memory, knowledge),
                            tok.bos_id, tok.eos_id, beam=3, max_len=8)
         assert abs(best.logprob - rescore(model, rec, best.tokens)) < 1e-5
+
+    def test_decode_record_matches_per_hypothesis_reference(self):
+        """The batched search picks what a one-prefix-at-a-time search over teacher-forced states picks."""
+        model = desk_model(seed=2, fused=True)
+        records = [JokeRecord("the dog chewed the remote,", "x.", [("dog", "chews", "remote")]),
+                   JokeRecord("why did the cat sit on the mat,", "y.", []),
+                   JokeRecord("a man walked into a bar,", "z.",
+                              [("man", "walks into", "bar"), ("bar", "serves", "beer")])]
+        for rec in records:
+            for beam in (1, 3, 5):
+                got = decode_record(model, rec, beam=beam, max_len=12)
+                assert got == reference_decode(model, rec, beam, max_len=12)
 
 
 class TestGenerateFile:

@@ -1,5 +1,8 @@
 import json
+import logging
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -15,6 +18,7 @@ from punchgen.knowledge import (
     MalformedResponse,
     SparqlTripleStore,
     Triple,
+    _ResponseCache,
     annotate_dataset,
     fetch_triples,
     link_entities,
@@ -124,6 +128,16 @@ class TestAnnotate:
         out = annotate_dataset(recs, fixture_provider, fixture_provider, in_flight=4)
         assert [r.setup for r in out] == [r.setup for r in recs]
 
+    def test_one_worker_matches_many(self, fixture_provider):
+        recs = [JokeRecord(setup, "p.") for setup in FIXTURE["mentions"]] * 3
+        one = annotate_dataset(recs, fixture_provider, fixture_provider, in_flight=1)
+        many = annotate_dataset(recs, fixture_provider, fixture_provider, in_flight=4)
+        assert [r.to_json() for r in one] == [r.to_json() for r in many]
+
+    def test_in_flight_below_one_rejected(self, fixture_provider):
+        with pytest.raises(ValueError, match="in_flight"):
+            annotate_dataset([JokeRecord("x.", "y.")], fixture_provider, fixture_provider, in_flight=0)
+
     def test_reproducible(self, fixture_provider):
         recs = [JokeRecord("Jobs founded Apple.", "p."), JokeRecord("x.", "y.")]
         a = annotate_dataset(recs, fixture_provider, fixture_provider)
@@ -196,6 +210,7 @@ def http_stub():
     _Handler.behaviors = {}
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpLinker:
@@ -235,6 +250,59 @@ class TestHttpLinker:
         _Handler.behaviors["link"] = "fail"  # cache must answer now
         second = HttpLinker(http_stub, backoff=0, cache_path=cache).link("Jobs founded Apple.")
         assert first == second
+
+
+class TestResponseCache:
+    def test_linker_and_store_share_one_file(self, http_stub, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        linker = HttpLinker(http_stub, backoff=0, cache_path=cache)
+        store = SparqlTripleStore(http_stub, backoff=0, cache_path=cache)
+        mentions = linker.link("Jobs founded Apple.")
+        triples = store.fetch("Q19837")
+        later = linker.link("Jobs again.")  # written after the store's entry
+        _Handler.behaviors.update(link="fail", sparql="fail")  # only the cache can answer now
+        fresh_linker = HttpLinker(http_stub, backoff=0, retries=1, cache_path=cache)
+        fresh_store = SparqlTripleStore(http_stub, backoff=0, retries=1, cache_path=cache)
+        assert fresh_linker.link("Jobs founded Apple.") == mentions
+        assert fresh_linker.link("Jobs again.") == later
+        assert fresh_store.fetch("Q19837") == triples
+
+    def test_line_cut_short_keeps_earlier_entries(self, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        cache = _ResponseCache(path)
+        for i in range(5):
+            cache.put(f"k{i}", {"v": i})
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('\n{"k5": {"v"')  # what a put leaves when the process dies mid-write
+        with caplog.at_level(logging.WARNING, logger="punchgen.knowledge"):
+            loaded = _ResponseCache(path)
+        assert loaded.data == {f"k{i}": {"v": i} for i in range(5)}
+        assert "cut short" in caplog.text
+        loaded.put("k6", [6])  # starts a new line instead of extending the cut one
+        assert _ResponseCache(path).data == {**{f"k{i}": {"v": i} for i in range(5)}, "k6": [6]}
+
+    def test_single_object_file_loads(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"a": 1, "b": [2]}), encoding="utf-8")  # no trailing newline
+        cache = _ResponseCache(path)
+        assert cache.data == {"a": 1, "b": [2]}
+        cache.put("c", 3)
+        assert _ResponseCache(path).data == {"a": 1, "b": [2], "c": 3}
+
+    def test_concurrent_puts_from_clients_on_one_path(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        clients = [_ResponseCache(path) for _ in range(4)]
+        want = {f"k{i}": "x" * (i % 97) for i in range(400)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(clients[i % 4].put, k, v) for i, (k, v) in enumerate(want.items())]
+                for f in futures:
+                    f.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _ResponseCache(path).data == want
 
 
 class TestSparqlStore:

@@ -196,6 +196,22 @@ class TestDecode:
         memory = fused.encode_setup(tok.encode("the cat"))
         with pytest.raises(ValueError):
             fused.decode_step(tok.encode("the"), memory, None)
+        with pytest.raises(ValueError):  # every row of a batch is checked
+            fused.decode_step([[tok.bos_id, 5], [6, 5]], memory, None)
+
+    @pytest.mark.parametrize("fused_model", [False, True])
+    def test_batched_prefixes_match_one_prefix_calls(self, plain, fused, tok, fused_model):
+        model = fused if fused_model else plain
+        memory = model.encode_setup(tok.encode("the cat sat"))
+        knowledge = model.encode_triples(TRIPLES) if fused_model else None
+        rng = np.random.default_rng(11)
+        for t in (1, 2, 6):
+            prefixes = np.column_stack([np.full(4, tok.bos_id),
+                                        rng.integers(4, tok.vocab_size, size=(4, t - 1))])
+            batched = model.decode_step(prefixes, memory, knowledge)
+            assert batched.shape == (4, tok.vocab_size)
+            for prefix, dist in zip(prefixes, batched):
+                assert np.array_equal(dist, model.decode_step(prefix, memory, knowledge))
 
     def test_causality(self, fused, tok):
         memory = fused.encode_setup(tok.encode("the cat sat"))

@@ -92,6 +92,7 @@ class TestFileFormat:
     def test_save_load_round_trip(self, tok, tmp_path):
         path = tmp_path / "tok.bpe"
         tok.save(path)
+        assert path.read_bytes() == tok.dumps().encode("utf-8")
         back = Tokenizer.load(path)
         assert back.vocab == tok.vocab and back.merges == tok.merges
         assert back.encode("the cat sat") == tok.encode("the cat sat")
@@ -103,5 +104,5 @@ class TestFileFormat:
     def test_reject_foreign_file(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("not a tokenizer\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad.bpe"):
             Tokenizer.load(path)
