@@ -114,9 +114,12 @@ class Tensor:
                     if id(p) not in seen:
                         stack.append((p, False))
         self._accumulate(np.asarray(grad, dtype=np.float64))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:  # a spent interior node drops its gradient, closure and parents at once
+            node = topo.pop()
+            if node._backward is not None:
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, None, ()
 
     # ---------------------------------------------------------------- operators
 
@@ -391,32 +394,21 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 def take_slice(a, idx) -> Tensor:
-    """Basic and integer-array indexing with gradient scatter-add."""
+    """Basic and integer-array indexing; the gradient of ints and slices is assigned, else scatter-added."""
     a = _wrap(a)
     data = a.data[idx]
+    basic = all(isinstance(i, (int, slice)) for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(grad):
         if a.requires_grad:
             g = np.zeros_like(a.data)
-            np.add.at(g, idx, grad)
+            if basic:  # cannot repeat an element
+                g[idx] = grad
+            else:
+                np.add.at(g, idx, grad)
             a._accumulate(g)
 
     return _make(data, (a,), backward)
-
-
-def embedding(table, ids) -> Tensor:
-    """Row lookup `table[ids]` with scatter-add gradient into the table."""
-    table = _wrap(table)
-    ids = np.asarray(ids, dtype=np.intp)
-    data = table.data[ids]
-
-    def backward(grad):
-        if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, grad)
-            table._accumulate(g)
-
-    return _make(data, (table,), backward)
 
 
 # -------------------------------------------------------------------- softmax family

@@ -62,6 +62,10 @@ def _load_run_config(args) -> "config.RunConfig":
         cfg.train = dataclasses.replace(cfg.train, **overrides)  # reruns TrainConfig's checks
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # a flag wins over the config, so the config (and the sidecar) records what runs
+    for name in ("dedup_threshold", "max_per_entity", "beam", "max_decode_len"):
+        if getattr(args, name, None) is not None:
+            setattr(cfg, name, getattr(args, name))
     return cfg
 
 
@@ -72,10 +76,9 @@ def cmd_corpus_build(args) -> int:
     from .corpus import build_corpus, write_jsonl
 
     cfg = _load_run_config(args)
-    threshold = args.dedup_threshold if args.dedup_threshold is not None else cfg.dedup_threshold
-    if not 0.0 < threshold <= 1.0:
-        raise UsageError(f"dedup threshold must be in (0, 1], got {threshold}")
-    split = build_corpus(args.input, dedup_threshold=threshold, seed=args.seed)
+    if not 0.0 < cfg.dedup_threshold <= 1.0:
+        raise UsageError(f"dedup threshold must be in (0, 1], got {cfg.dedup_threshold}")
+    split = build_corpus(args.input, dedup_threshold=cfg.dedup_threshold, seed=args.seed)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, records in (("train", split.train), ("valid", split.valid), ("test", split.test)):
@@ -92,11 +95,11 @@ def cmd_knowledge_annotate(args) -> int:
     from . import knowledge
     from .corpus import read_jsonl, write_jsonl
 
-    if args.max_per_entity < 1:
-        raise UsageError(f"--max-per-entity must be at least 1, got {args.max_per_entity}")
+    cfg = _load_run_config(args)
+    if cfg.max_per_entity < 1:
+        raise UsageError(f"--max-per-entity must be at least 1, got {cfg.max_per_entity}")
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    cfg = _load_run_config(args)
     records = read_jsonl(args.input)
     if args.fixtures:
         provider = knowledge.FixtureProvider(args.fixtures)
@@ -110,7 +113,7 @@ def cmd_knowledge_annotate(args) -> int:
         raise UsageError("choose --fixtures PATH or --live")
     annotated = knowledge.annotate_dataset(
         records, linker, store,
-        max_per_entity=args.max_per_entity, in_flight=args.workers)
+        max_per_entity=cfg.max_per_entity, in_flight=args.workers)
     out = Path(args.output or args.input + ".annotated")
     write_jsonl(annotated, out)
     _write_meta(out, "knowledge annotate", cfg)
@@ -163,6 +166,8 @@ def cmd_train_pretrain(args) -> int:
 
     cfg = _load_run_config(args)
     split = _load_splits(args.data)
+    if not split.train:
+        raise RuntimeError(f"{Path(args.data) / 'train.jsonl'} has no records to train on")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tok_path = Path(args.tokenizer) if args.tokenizer else out / "tokenizer.bpe"
@@ -209,19 +214,19 @@ def cmd_generate(args) -> int:
     from .model import load_model
 
     cfg = _load_run_config(args)
-    if args.beam < 1:
-        raise UsageError(f"--beam must be at least 1, got {args.beam}")
+    if cfg.beam < 1:
+        raise UsageError(f"--beam must be at least 1, got {cfg.beam}")
     model = load_model(args.ckpt)
     # the last beam step decodes a prefix of --max-len tokens, BOS included
-    if not 1 <= args.max_len <= model.cfg.max_len:
+    if not 1 <= cfg.max_decode_len <= model.cfg.max_len:
         raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "
-                         f"got {args.max_len}")
+                         f"got {cfg.max_decode_len}")
     out = Path(args.output)
-    n = generate_file(args.input, model, out, beam=args.beam, max_len=args.max_len,
+    n = generate_file(args.input, model, out, beam=cfg.beam, max_len=cfg.max_decode_len,
                       length_normalize=not args.raw_score,
                       refs_path=args.refs_output)
     _write_meta(out, "generate", cfg)
-    log_event(event="generate.done", records=n, beam=args.beam)
+    log_event(event="generate.done", records=n, beam=cfg.beam)
     say(f"generated {n} punchlines -> {out}")
     return 0
 
@@ -287,7 +292,7 @@ def build_parser() -> _Parser:
     annotate.add_argument("--linker-url")
     annotate.add_argument("--sparql-url")
     annotate.add_argument("--cache", help="on-disk response cache path")
-    annotate.add_argument("--max-per-entity", type=int, default=10)
+    annotate.add_argument("--max-per-entity", type=int)
     annotate.add_argument("--workers", type=int, default=4)
     annotate.add_argument("--config")
     annotate.set_defaults(fn=cmd_knowledge_annotate)
@@ -325,8 +330,8 @@ def build_parser() -> _Parser:
     gen.add_argument("--input", required=True)
     gen.add_argument("--output", default="hyps.txt")
     gen.add_argument("--refs-output", help="also write reference punchlines here")
-    gen.add_argument("--beam", type=int, default=5)
-    gen.add_argument("--max-len", type=int, default=64)
+    gen.add_argument("--beam", type=int)
+    gen.add_argument("--max-len", type=int, dest="max_decode_len")
     gen.add_argument("--raw-score", action="store_true",
                      help="rank final hypotheses by raw log-probability")
     gen.add_argument("--config")

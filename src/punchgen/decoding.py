@@ -107,14 +107,17 @@ def generate_file(input_path: str | Path, model: Model, output_path: str | Path,
     A newline decoded inside a hypothesis becomes a space, so line i of
     the output always belongs to record i. Optionally writes the
     reference punchlines alongside. Returns the number of lines written.
-    Model failures abort the whole run.
+    Model failures abort the whole run; a record the model rejects (such
+    as a set-up that encodes to no tokens) is named by its number.
     """
     records = read_jsonl(input_path)
-    hyps = [
-        decode_record(model, rec, beam=beam, max_len=max_len,
-                      length_normalize=length_normalize)
-        for rec in records
-    ]
+    hyps = []
+    for n, rec in enumerate(records, 1):
+        try:
+            hyps.append(decode_record(model, rec, beam=beam, max_len=max_len,
+                                      length_normalize=length_normalize))
+        except ValueError as exc:
+            raise ValueError(f"{input_path}, record {n}: {exc}") from exc
     with Path(output_path).open("w", encoding="utf-8") as fh:
         for hyp in hyps:
             fh.write(hyp.replace("\n", " ") + "\n")

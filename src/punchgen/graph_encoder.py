@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autograd as ag
 from .config import ModelConfig
-from .kgraph import KnowledgeGraph
 
 MASK_OFF = -1e30
 GAT_WEIGHTS = ("wq", "wk", "wv")
@@ -57,10 +56,10 @@ def in_neighbor_mask(n_nodes: int, edges: list[tuple[int, int]]) -> np.ndarray:
 
 
 def gat_attention(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> ag.Tensor:
-    """Attention (..., n_heads, n, n); row i of each head is a distribution over N(i)."""
+    """Attention (..., n_heads, n, n) under a (..., n, n) mask; row i of a head is a distribution on N(i)."""
     q = split_heads(h @ layer["wq"], n_heads)
     k = split_heads(h @ layer["wk"], n_heads)
-    logits = q @ ag.swapaxes(k, -1, -2) + ag.Tensor(np.where(mask, 0.0, MASK_OFF))
+    logits = q @ ag.swapaxes(k, -1, -2) + ag.Tensor(np.where(mask, 0.0, MASK_OFF)[..., None, :, :])
     return ag.softmax(logits, axis=-1)
 
 
@@ -76,12 +75,8 @@ def _layers(params: dict, cfg: ModelConfig) -> list[dict]:
     return [{w: params[f"gat.{layer}.{w}"] for w in GAT_WEIGHTS} for layer in range(cfg.gat_layers)]
 
 
-def encode_knowledge(graph: KnowledgeGraph, params: dict, cfg: ModelConfig) -> ag.Tensor:
-    """Apply the configured number of attention layers to graph.features."""
-    if graph.features is None:
-        raise ValueError("graph has no initial features")
-    mask = in_neighbor_mask(graph.n_nodes, graph.edges)
-    h = graph.features
+def encode_knowledge(h: ag.Tensor, mask: np.ndarray, params: dict, cfg: ModelConfig) -> ag.Tensor:
+    """Apply the configured attention layers to node features h (..., n, d) under an in_neighbor_mask."""
     for layer in _layers(params, cfg):
         h = gat_layer(h, layer, mask, cfg.n_heads, slope=cfg.leaky_slope)
     return h

@@ -40,7 +40,6 @@ class Node:
 class KnowledgeGraph:
     nodes: list[Node]
     edges: list[tuple[int, int]]
-    features: ag.Tensor | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -115,15 +114,15 @@ def _lstm_last_states(xw: ag.Tensor, lengths: np.ndarray, w_hh: ag.Tensor, b: ag
     return ag.concat(finished[::-1], axis=0)
 
 
-def init_node_features(graph: KnowledgeGraph, params: dict, tokenizer: Tokenizer,
+def init_node_features(labels: list[str], params: dict, tokenizer: Tokenizer,
                        cfg: ModelConfig) -> ag.Tensor:
-    """Initial feature matrix (|V|, d_model); identical labels share one encoding.
+    """Initial feature rows (len(labels), d_model) of node labels; identical labels share one encoding.
 
-    The graph's distinct labels run through each LSTM direction as one
-    batch, sorted longest first with padded token ids; the backward
-    direction reads each label reversed within its own length.
+    The distinct labels (of one graph or a batch of graphs) run through
+    each LSTM direction as one batch, sorted longest first with padded
+    token ids; the backward direction reads each label reversed within
+    its own length.
     """
-    labels = [node.label for node in graph.nodes]
     ids = {label: tokenizer.encode(label) for label in dict.fromkeys(labels)}
     order = sorted(ids, key=lambda label: -len(ids[label]))
     lengths = np.array([len(ids[label]) for label in order])
@@ -135,7 +134,7 @@ def init_node_features(graph: KnowledgeGraph, params: dict, tokenizer: Tokenizer
     fw[running] = np.concatenate([ids[label] for label in order])
     bw = np.take_along_axis(fw, np.where(running, lengths[:, None] - 1 - steps, 0), axis=1)
     last = [
-        _lstm_last_states(ag.embedding(params["kinit.emb"], tokens) @ params[f"kinit.{side}.w_ih"],
+        _lstm_last_states(params["kinit.emb"][tokens] @ params[f"kinit.{side}.w_ih"],
                           lengths, params[f"kinit.{side}.w_hh"], params[f"kinit.{side}.b"], cfg.d_rnn)
         for side, tokens in (("fw", fw), ("bw", bw))
     ]

@@ -31,16 +31,23 @@ import numpy as np
 
 from . import autograd as ag
 from .config import ModelConfig
-from .graph_encoder import encode_knowledge, init_gat_params, merge_heads, split_heads
-from .kgraph import build_graph, init_node_features, init_node_params
+from .graph_encoder import (MASK_OFF, encode_knowledge, in_neighbor_mask, init_gat_params,
+                            merge_heads, split_heads)
+from .kgraph import KnowledgeGraph, build_graph, init_node_features, init_node_params
 from .tokenizer import Tokenizer
 
-MASK_OFF = -1e30
 CHECKPOINT_VERSION = 2
 
 
 class LengthError(Exception):
     """Input longer than the configured maximum."""
+
+
+@dataclasses.dataclass
+class Example:
+    src: np.ndarray
+    tgt: np.ndarray
+    triples: tuple = ()
 
 
 def is_knowledge_only(name: str) -> bool:
@@ -131,18 +138,30 @@ def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None) -> ag.Tens
     return t * ag.Tensor(mask)
 
 
+def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int rows filled at the end to one (B, s) array, and the (B, 1, 1, s) bias that hides the fill."""
+    lengths = np.array([len(r) for r in rows])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    out = np.full(real.shape, fill, dtype=np.intp)
+    out[real] = np.concatenate(rows)
+    return out, np.where(real, 0.0, MASK_OFF)[:, None, None, :]
+
+
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
-                         n_heads: int, causal: bool = False,
+                         n_heads: int, bias: np.ndarray | None = None,
                          trace: list | None = None, trace_tag: str = "") -> ag.Tensor:
-    """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast."""
+    """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast.
+
+    `bias` adds to the (..., heads, t, s) logits; MASK_OFF hides a key.
+    """
     t, d = q_in.shape[-2:]
     s = kv_in.shape[-2]
     q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
     k = split_heads(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], n_heads)
     v = split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads)
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
-    if causal:
-        logits = logits + ag.Tensor(np.triu(np.full((t, s), MASK_OFF), k=1))
+    if bias is not None:
+        logits = logits + ag.Tensor(bias)
     alpha = ag.softmax(logits, axis=-1)
     if trace is not None:
         trace.extend((trace_tag, a) for a in alpha.data.reshape(-1, t, s))
@@ -153,9 +172,15 @@ def feed_forward(x: ag.Tensor, p: dict, prefix: str) -> ag.Tensor:
     return ag.relu(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]) @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
 
 
-def knowledge_gate(s_states: ag.Tensor, knowledge: ag.Tensor, wg: ag.Tensor) -> ag.Tensor:
-    """Per-dimension highway mix: sigmoid(S W_g) * S + (1 - .) * knowledge."""
+def knowledge_gate(s_states: ag.Tensor, knowledge: ag.Tensor, wg: ag.Tensor,
+                   mix: np.ndarray | None = None) -> ag.Tensor:
+    """Per-dimension highway mix: sigmoid(S W_g) * S + (1 - .) * knowledge.
+
+    lam is 1 exactly where the 0/1 `mix`, broadcast over S, is 0.
+    """
     lam = ag.sigmoid(s_states @ wg)
+    if mix is not None:
+        lam = lam * mix + (1.0 - mix)
     return lam * s_states + (1.0 - lam) * knowledge
 
 
@@ -175,19 +200,23 @@ class Model:
     # -------------------------------------------------------------- embeddings
 
     def _embed(self, ids: np.ndarray) -> ag.Tensor:
-        emb = ag.embedding(self.params["emb"], ids) * np.sqrt(self.cfg.d_model)
+        emb = self.params["emb"][ids] * np.sqrt(self.cfg.d_model)
         return emb + ag.Tensor(sinusoidal_positions(ids.shape[-1], self.cfg.d_model))
 
     # ----------------------------------------------------------------- encoder
 
-    def encode_setup(self, ids, dropout_rng=None, trace: list | None = None) -> ag.Tensor:
+    def encode_setup(self, ids, dropout_rng=None, trace: list | None = None,
+                     bias: np.ndarray | None = None) -> ag.Tensor:
+        """Encoder states (..., s, d) of set-ups (..., s); `bias` (..., 1, 1, s) hides padded keys."""
         ids = np.asarray(ids, dtype=np.intp)
-        if len(ids) > self.cfg.max_len:
-            raise LengthError(f"set-up has {len(ids)} tokens, max is {self.cfg.max_len}")
+        if ids.shape[-1] == 0:
+            raise ValueError("set-up encodes to no tokens")
+        if ids.shape[-1] > self.cfg.max_len:
+            raise LengthError(f"set-up has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
         x = self._embed(ids)
         for n in range(cfg.n_blocks):
-            attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads,
+            attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads, bias=bias,
                                         trace=trace, trace_tag="enc-self")
             x = ag.layer_norm(x + _dropout(attn, cfg.dropout, dropout_rng),
                               p[f"enc.{n}.ln1.g"], p[f"enc.{n}.ln1.b"])
@@ -199,38 +228,56 @@ class Model:
     # --------------------------------------------------------------- knowledge
 
     def encode_triples(self, triples) -> ag.Tensor | None:
-        """Graph-encode a record's triples; None when there are none."""
-        if not triples:
-            return None
-        graph = build_graph(list(triples))
-        graph.features = init_node_features(graph, self.params, self.tokenizer, self.cfg)
-        return encode_knowledge(graph, self.params, self.cfg)
+        """Graph-encode a record's triples (N, d); None when there are none."""
+        nodes = self._encode_graphs([triples])[0]
+        return None if nodes is None else nodes[0]
+
+    def _encode_graphs(self, triple_sets) -> tuple:
+        """The records' graphs, padded: (B, N, d) node states, their (B, 1, 1, N) key bias and the
+        (B, 1, 1) 0/1 has-graph mix; all None when no record has triples.
+
+        One BiLSTM pass encodes every label of the batch. A record without
+        triples is a zero-node graph, and a pad node attends only to itself.
+        """
+        graphs = [build_graph(list(t)) if t else KnowledgeGraph([], []) for t in triple_sets]
+        sizes = [g.n_nodes for g in graphs]
+        if not any(sizes):
+            return None, None, None
+        labels = [node.label for g in graphs for node in g.nodes]
+        feats = init_node_features(labels, self.params, self.tokenizer, self.cfg)
+        rows, bias = _pad(np.split(np.arange(len(labels)), np.cumsum(sizes)[:-1]), 0)
+        mask = np.stack([in_neighbor_mask(rows.shape[1], g.edges) for g in graphs])
+        nodes = encode_knowledge(feats[rows], mask, self.params, self.cfg)
+        return nodes, bias, (np.array(sizes) > 0)[:, None, None].astype(np.float64)
 
     # ----------------------------------------------------------------- decoder
 
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                       force_lambda_one: bool = False, dropout_rng=None,
-                      trace: list | None = None) -> ag.Tensor:
-        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t)."""
+                      trace: list | None = None, memory_bias=None, knowledge_bias=None,
+                      mix=None) -> ag.Tensor:
+        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys."""
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"prefix has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
         use_fusion = self.fused and knowledge is not None and not force_lambda_one
+        causal = np.triu(np.full((ids.shape[-1],) * 2, MASK_OFF), k=1)
         y = self._embed(ids)
         for n in range(cfg.n_blocks):
-            attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, causal=True,
+            attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, bias=causal,
                                         trace=trace, trace_tag="dec-self")
             y = ag.layer_norm(y + _dropout(attn, cfg.dropout, dropout_rng),
                               p[f"dec.{n}.ln1.g"], p[f"dec.{n}.ln1.b"])
             cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads,
-                                         trace=trace, trace_tag="dec-cross")
+                                         bias=memory_bias, trace=trace, trace_tag="dec-cross")
             s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
             if use_fusion:
                 fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
-                                                  cfg.n_heads, trace=trace, trace_tag="fusion")
-                y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"])
+                                                  cfg.n_heads, bias=knowledge_bias,
+                                                  trace=trace, trace_tag="fusion")
+                y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"], mix)
             else:
                 # lam == 1 exactly: the gate passes S through untouched
                 y = s_states
@@ -255,24 +302,32 @@ class Model:
 
     # -------------------------------------------------------------------- loss
 
+    def loss_sum(self, batch: list[Example], dropout_rng=None,
+                 force_lambda_one: bool = False) -> tuple[ag.Tensor, int]:
+        """Teacher-forced summed cross-entropy and token count of a batch, in one padded forward.
+
+        Each tgt runs BOS ... EOS. Pads trail: attention masks padded set-up and node keys, the loss
+        skips PAD targets, and an example without triples keeps lam = 1 exactly, as when alone.
+        """
+        pad = self.tokenizer.pad_id
+        src, memory_bias = _pad([ex.src for ex in batch], pad)
+        tgt, _ = _pad([ex.tgt for ex in batch], pad)
+        memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
+        graphs = self._encode_graphs([ex.triples for ex in batch]) if self.fused else (None,) * 3
+        knowledge, knowledge_bias, mix = graphs
+        states = self.decode_states(tgt[:, :-1], memory, knowledge, force_lambda_one=force_lambda_one,
+                                    dropout_rng=dropout_rng, memory_bias=memory_bias,
+                                    knowledge_bias=knowledge_bias, mix=mix)
+        targets = tgt[:, 1:]
+        rows = np.nonzero(targets != pad)
+        loss = ag.cross_entropy_sum(self.logits(states[rows]), targets[rows])
+        return loss, len(rows[0])
+
     def sequence_loss(self, src_ids, tgt_ids, triples=(), dropout_rng=None,
                       force_lambda_one: bool = False) -> tuple[ag.Tensor, int]:
-        """Teacher-forced summed cross-entropy and the token count.
-
-        tgt_ids must start with BOS and end with EOS; PAD targets are
-        masked out of the loss.
-        """
-        memory = self.encode_setup(src_ids, dropout_rng=dropout_rng)
-        knowledge = self.encode_triples(triples) if self.fused else None
-        dec_in = np.asarray(tgt_ids[:-1], dtype=np.intp)
-        targets = np.asarray(tgt_ids[1:], dtype=np.intp)
-        states = self.decode_states(dec_in, memory, knowledge,
-                                    dropout_rng=dropout_rng,
-                                    force_lambda_one=force_lambda_one)
-        rows = np.nonzero(targets != self.tokenizer.pad_id)[0]
-        logits = self.logits(states)
-        loss = ag.cross_entropy_sum(ag.take_slice(logits, rows), targets[rows])
-        return loss, len(rows)
+        """loss_sum of the one example (src_ids, tgt_ids, triples)."""
+        return self.loss_sum([Example(src_ids, tgt_ids, tuple(triples))], dropout_rng=dropout_rng,
+                             force_lambda_one=force_lambda_one)
 
 
 # ------------------------------------------------------------------ checkpoints

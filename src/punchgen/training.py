@@ -20,6 +20,7 @@ from . import autograd as ag
 from .config import ModelConfig, TrainConfig
 from .corpus import DatasetSplit, JokeRecord
 from .model import (
+    Example,
     Model,
     init_params,
     is_knowledge_only,
@@ -28,6 +29,8 @@ from .model import (
 )
 from .tokenizer import Tokenizer
 
+EVAL_BATCH = 16  # examples per validation forward; a large valid split never becomes one forward
+
 
 class DivergenceError(Exception):
     """Training loss became non-finite."""
@@ -35,13 +38,6 @@ class DivergenceError(Exception):
 
 class ConfigMismatch(Exception):
     """Pretrained checkpoint is incompatible with the fused model config."""
-
-
-@dataclass
-class Example:
-    src: np.ndarray
-    tgt: np.ndarray
-    triples: tuple = ()
 
 
 @dataclass
@@ -118,25 +114,16 @@ class Adam:
 
 
 def batch_loss(model: Model, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:
-    """Token-weighted mean cross-entropy over a batch (single tape)."""
-    total = None
-    tokens = 0
-    for ex in batch:
-        loss, n = model.sequence_loss(ex.src, ex.tgt, ex.triples, dropout_rng=dropout_rng)
-        total = loss if total is None else total + loss
-        tokens += n
+    """Token-weighted mean cross-entropy over a batch (one padded forward)."""
+    total, tokens = model.loss_sum(batch, dropout_rng=dropout_rng)
     return total * (1.0 / tokens), tokens
 
 
 def eval_loss(model: Model, examples: list[Example]) -> float:
-    """Per-token validation loss, deterministic (no dropout, no tape)."""
+    """Per-token validation loss, deterministic (no dropout, no tape), in chunks of EVAL_BATCH."""
     with ag.no_grad():
-        total, tokens = 0.0, 0
-        for ex in examples:
-            loss, n = model.sequence_loss(ex.src, ex.tgt, ex.triples)
-            total += float(loss.data)
-            tokens += n
-    return total / max(tokens, 1)
+        sums = [model.loss_sum(examples[i:i + EVAL_BATCH]) for i in range(0, len(examples), EVAL_BATCH)]
+    return sum(float(loss.data) for loss, _ in sums) / max(sum(n for _, n in sums), 1)
 
 
 def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[float, bool]:
@@ -165,6 +152,8 @@ def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
                tcfg: TrainConfig, rng: np.random.Generator,
                log_fn=None, opt: Adam | None = None) -> TrainResult:
     """Step loop with periodic validation and early stopping (best weights win)."""
+    if not train_ex:
+        raise ValueError("no training example is left after tokenization")
     opt = opt or Adam(tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.eps,
                       clip_norm=tcfg.clip_norm)
     log = log_fn or (lambda event: None)

@@ -173,12 +173,19 @@ class TestStructuredOps:
         rng = np.random.default_rng(7)
         table = ag.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
         ids = np.array([0, 2, 2, 4])
-        out = ag.embedding(table, ids)
+        out = table[ids]  # a repeated id scatter-adds its rows
         w = rng.normal(size=(4, 3))
         (out * ag.Tensor(w)).sum().backward()
         expect = np.zeros((5, 3))
         np.add.at(expect, ids, w)
         np.testing.assert_allclose(table.grad, expect)
+        # a basic index cannot repeat an element; its gradient is assigned
+        xw = ag.Tensor(rng.normal(size=(4, 5, 6)), requires_grad=True)
+        w = rng.normal(size=(2, 6))
+        (xw[:2, 3] * ag.Tensor(w)).sum().backward()
+        expect = np.zeros((4, 5, 6))
+        expect[:2, 3] = w
+        np.testing.assert_array_equal(xw.grad, expect)
 
     def test_cross_entropy_matches_log_softmax(self):
         rng = np.random.default_rng(8)
@@ -250,3 +257,22 @@ class TestTapeMechanics:
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
+
+    def test_backward_frees_spent_interior_nodes(self):
+        rng = np.random.default_rng(12)
+        dx, dw = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        x = ag.Tensor(dx, requires_grad=True)
+        w = ag.Tensor(dw, requires_grad=True)
+        h = ag.tanh(x @ w)
+        sq = h * h
+        interior = [h, sq, sq.sum()]
+        loss = interior[-1] + (x * 2.0).sum()
+        interior.append(loss)
+        loss.backward()
+        for node in interior:
+            assert node.grad is None and node._parents == () and node._backward is None
+        # leaf gradients are what the unfreed tape gives
+        th = np.tanh(dx @ dw)
+        gpre = 2 * th * (1 - th * th)
+        np.testing.assert_allclose(x.grad, gpre @ dw.T + 2.0, rtol=1e-12)
+        np.testing.assert_allclose(w.grad, dx.T @ gpre, rtol=1e-12)

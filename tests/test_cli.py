@@ -124,24 +124,26 @@ class TestAnnotateAndDump:
                        "--record", "9999") == 1
 
 
+@pytest.fixture()
+def paths(tmp_path):
+    """A tiny plain checkpoint (max_len 16), one input record and the output path."""
+    from punchgen.config import ModelConfig
+    from punchgen.corpus import JokeRecord, write_jsonl
+    from punchgen.model import init_params, save_params
+    from punchgen.tokenizer import train_tokenizer
+
+    cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
+                      max_len=16, dropout=0.0)
+    tok = train_tokenizer(["the cat sat on the mat"], vocab_size=cfg.vocab_size)
+    ckpt = tmp_path / "model.ckpt"
+    save_params(ckpt, init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=False),
+                cfg, tok, fused=False)
+    records = tmp_path / "test.jsonl"
+    write_jsonl([JokeRecord("the cat sat.", "on the mat")], records)
+    return ckpt, records, tmp_path / "hyps.txt"
+
+
 class TestGenerateFlags:
-    @pytest.fixture()
-    def paths(self, tmp_path):
-        from punchgen.config import ModelConfig
-        from punchgen.corpus import JokeRecord, write_jsonl
-        from punchgen.model import init_params, save_params
-        from punchgen.tokenizer import train_tokenizer
-
-        cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
-                          max_len=16, dropout=0.0)
-        tok = train_tokenizer(["the cat sat on the mat"], vocab_size=cfg.vocab_size)
-        ckpt = tmp_path / "model.ckpt"
-        save_params(ckpt, init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=False),
-                    cfg, tok, fused=False)
-        records = tmp_path / "test.jsonl"
-        write_jsonl([JokeRecord("the cat sat.", "on the mat")], records)
-        return ckpt, records, tmp_path / "hyps.txt"
-
     def generate(self, paths, *flags):
         ckpt, records, out = paths
         return run_cli("generate", "--ckpt", str(ckpt), "--input", str(records),
@@ -157,6 +159,42 @@ class TestGenerateFlags:
         assert self.generate(paths, "--max-len", "4", "--beam", "0") == 1
         assert "--beam must be at least 1" in capsys.readouterr().err
         assert not paths[2].exists()
+
+
+class TestSidecarRecordsWhatRan:
+    """A flag wins over the run config, the config fills in an absent flag, and the sidecar says which ran."""
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    @pytest.mark.parametrize("field,config_value,flag,flag_value", [
+        ("dedup_threshold", 0.5, "--dedup-threshold", 0.8),
+        ("max_per_entity", 3, "--max-per-entity", 2),
+        ("beam", 3, "--beam", 2),
+        ("max_decode_len", 6, "--max-len", 5),
+    ])
+    def test_resolved_value_in_sidecar(self, tmp_path, paths, source, field, config_value,
+                                       flag, flag_value):
+        from punchgen.config import RunConfig
+
+        cfg = tmp_path / "run.yaml"
+        RunConfig(**{field: config_value}).save(cfg)
+        extra = ["--config", str(cfg)] + ([flag, str(flag_value)] if source == "flag" else [])
+        ckpt, records, hyps = paths
+        if field == "dedup_threshold":
+            out = tmp_path / "data"
+            argv = ["corpus", "build", "--input", str(FIXTURES / "raw_jokes.txt"),
+                    "--output-dir", str(out)]
+            artifact = out / "train.jsonl"
+        elif field == "max_per_entity":
+            artifact = tmp_path / "ann.jsonl"
+            argv = ["knowledge", "annotate", "--input", str(records),
+                    "--fixtures", str(FIXTURES / "knowledge.json"), "--output", str(artifact)]
+        else:
+            artifact = hyps
+            argv = ["generate", "--ckpt", str(ckpt), "--input", str(records), "--output", str(hyps)]
+            argv += ["--max-len", "4"] if field == "beam" else ["--beam", "1"]
+        assert run_cli(*argv, *extra) == 0
+        meta = json.loads(Path(str(artifact) + ".meta.json").read_text())
+        assert meta["config"][field] == (flag_value if source == "flag" else config_value)
 
 
 class TestFlagChecks:
@@ -193,6 +231,16 @@ class TestFlagChecks:
         assert code == 1
         assert "--workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_train_split_fails_before_the_tokenizer(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train.jsonl").write_text("")
+        (data / "valid.jsonl").write_text("")
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "pretrain", "--data", str(data), "--out", str(out)) == 2
+        assert "has no records to train on" in capsys.readouterr().err
+        assert not (out / "tokenizer.bpe").exists()
 
     @pytest.mark.parametrize("value", ["0", "1.5"])
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -220,3 +220,13 @@ class TestHypothesisInvariants:
         h = BeamHypothesis(tokens=[9, 1, 2, 0], logprob=-3.0)
         assert h.score(length_normalize=True) == -1.0
         assert h.score(length_normalize=False) == -3.0
+
+
+def test_setup_without_tokens_is_named(tmp_path):
+    model = desk_model(seed=0, fused=True)
+    with pytest.raises(ValueError, match="set-up encodes to no tokens"):
+        model.encode_setup([])
+    path = tmp_path / "test.jsonl"
+    write_jsonl([JokeRecord("the dog chewed the remote,", "x."), JokeRecord("", "x.")], path)
+    with pytest.raises(ValueError, match=r"record 2: set-up encodes to no tokens"):
+        generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=4)

@@ -1,5 +1,6 @@
+from dataclasses import dataclass
+
 import numpy as np
-import pytest
 
 from punchgen import autograd as ag
 from punchgen.config import ModelConfig
@@ -11,18 +12,27 @@ from punchgen.graph_encoder import (
     in_neighbor_mask,
     init_gat_params,
 )
-from punchgen.kgraph import KnowledgeGraph, Node
 
 CFG = ModelConfig(d_model=4, n_blocks=1, n_heads=2, d_ff=8, vocab_size=64,
                   gat_layers=2, dropout=0.0)
 
 
+@dataclass
+class Graph:
+    """Initial node features and the edges they attend along."""
+    n_nodes: int
+    edges: list
+    features: ag.Tensor
+
+
 def make_graph(n_nodes, edges, rng=None, features=None):
-    nodes = [Node(i, "entity", f"n{i}") for i in range(n_nodes)]
     if features is None:
         features = (rng or np.random.default_rng(0)).normal(size=(n_nodes, CFG.d_model))
-    return KnowledgeGraph(nodes=nodes, edges=list(edges),
-                          features=ag.Tensor(features, requires_grad=True))
+    return Graph(n_nodes, list(edges), ag.Tensor(features, requires_grad=True))
+
+
+def encode(g, params, cfg):
+    return encode_knowledge(g.features, in_neighbor_mask(g.n_nodes, g.edges), params, cfg)
 
 
 def random_layer(rng, cfg=CFG):
@@ -169,7 +179,7 @@ class TestEncodeKnowledge:
         g, params, _ = self._graph_and_params()
         cfg0 = ModelConfig(d_model=4, n_blocks=1, n_heads=2, d_ff=8, vocab_size=64,
                            gat_layers=0, dropout=0.0)
-        out = encode_knowledge(g, {}, cfg0)
+        out = encode(g, {}, cfg0)
         np.testing.assert_array_equal(out.data, g.features.data)
 
     def test_two_layers_compose(self):
@@ -180,7 +190,7 @@ class TestEncodeKnowledge:
         layers = [{w: params[f"gat.{l}.{w}"] for w in GAT_WEIGHTS} for l in range(2)]
         h1 = layer_oracle(g.features.data, layers[0], mask, slope=cfg.leaky_slope)
         h2 = layer_oracle(h1, layers[1], mask, slope=cfg.leaky_slope)
-        out = encode_knowledge(g, params, cfg)
+        out = encode(g, params, cfg)
         np.testing.assert_allclose(out.data, h2, atol=1e-6)
 
     def test_gradients_match_finite_differences(self):
@@ -189,9 +199,9 @@ class TestEncodeKnowledge:
 
         def loss_value():
             with ag.no_grad():
-                return float((encode_knowledge(g, params, cfg).data * w).sum())
+                return float((encode(g, params, cfg).data * w).sum())
 
-        (encode_knowledge(g, params, cfg) * ag.Tensor(w)).sum().backward()
+        (encode(g, params, cfg) * ag.Tensor(w)).sum().backward()
         h = 1e-6
         for name, p in list(params.items()) + [("H0", g.features)]:
             flat = p.data.reshape(-1)
@@ -210,29 +220,40 @@ class TestEncodeKnowledge:
 
     def test_locality_within_l_hops(self):
         g, params, cfg = self._graph_and_params(seed=12)
-        base = encode_knowledge(g, params, cfg).data.copy()
+        base = encode(g, params, cfg).data.copy()
         # node 5 reaches node 4 in one hop, node 2 in two; nothing else
         bumped = g.features.data.copy()
         bumped[5] += 1.0
-        g2 = KnowledgeGraph(nodes=g.nodes, edges=g.edges, features=ag.Tensor(bumped))
-        out = encode_knowledge(g2, params, cfg).data
+        g2 = Graph(g.n_nodes, g.edges, ag.Tensor(bumped))
+        out = encode(g2, params, cfg).data
         changed = {i for i in range(6) if not np.array_equal(out[i], base[i])}
         assert changed <= {5, 4, 2}
         assert 5 in changed and 4 in changed
 
     def test_permutation_equivariance(self):
         g, params, cfg = self._graph_and_params(seed=13)
-        out = encode_knowledge(g, params, cfg).data
+        out = encode(g, params, cfg).data
         perm = np.random.default_rng(14).permutation(6)
         inv = np.argsort(perm)
         pedges = [(int(inv[s]), int(inv[d])) for s, d in g.edges]
-        pnodes = [Node(i, "entity", f"n{i}") for i in range(6)]
-        pg = KnowledgeGraph(nodes=pnodes, edges=pedges,
-                            features=ag.Tensor(g.features.data[perm]))
-        pout = encode_knowledge(pg, params, cfg).data
+        pg = Graph(6, pedges, ag.Tensor(g.features.data[perm]))
+        pout = encode(pg, params, cfg).data
         np.testing.assert_allclose(pout, out[perm], atol=1e-12)
 
-    def test_missing_features_rejected(self):
-        g = KnowledgeGraph(nodes=[Node(0, "entity", "x")], edges=[])
-        with pytest.raises(ValueError):
-            encode_knowledge(g, {}, CFG)
+    def test_padded_batch_rows_match_single_graphs(self):
+        rng = np.random.default_rng(15)
+        cfg = ModelConfig(d_model=4, n_blocks=1, n_heads=2, d_ff=8, vocab_size=64,
+                          gat_layers=2, dropout=0.0)
+        params = init_gat_params(rng, cfg)
+        graphs = [make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 2), (5, 4)], rng),
+                  make_graph(3, [(0, 1), (2, 1)], rng), make_graph(1, [], rng)]
+        n = max(g.n_nodes for g in graphs)
+        h = np.zeros((len(graphs), n, cfg.d_model))
+        for b, g in enumerate(graphs):
+            h[b, :g.n_nodes] = g.features.data
+        # a pad row sees only itself
+        mask = np.stack([in_neighbor_mask(n, g.edges) for g in graphs])
+        out = encode_knowledge(ag.Tensor(h), mask, params, cfg).data
+        for b, g in enumerate(graphs):
+            np.testing.assert_allclose(out[b, :g.n_nodes], encode(g, params, cfg).data,
+                                       rtol=0, atol=1e-12)

@@ -6,8 +6,6 @@ from punchgen.kgraph import (
     ENTITY,
     RELATION,
     REVERSE,
-    KnowledgeGraph,
-    Node,
     build_graph,
     init_node_features,
     init_node_params,
@@ -175,9 +173,8 @@ def lstm_trace_numpy(x, w_ih, w_hh, b, h_dim):
     return h
 
 
-def label_graph(labels):
-    """Edgeless graph with one entity node per label, in order."""
-    return KnowledgeGraph(nodes=[Node(i, ENTITY, label) for i, label in enumerate(labels)], edges=[])
+def node_labels(graph):
+    return [node.label for node in graph.nodes]
 
 
 class TestNodeFeatures:
@@ -186,8 +183,8 @@ class TestNodeFeatures:
         params = init_node_params(rng, tok.vocab_size, CFG)
         g = build_graph([("drug", "instance", "drug beta")])
         g2 = build_graph([("alpha", "drug", "beta")])  # relation label == entity label
-        f1 = init_node_features(g, params, tok, CFG)
-        f2 = init_node_features(g2, params, tok, CFG)
+        f1 = init_node_features(node_labels(g), params, tok, CFG)
+        f2 = init_node_features(node_labels(g2), params, tok, CFG)
         drug_row_1 = f1.data[0]
         drug_row_2 = f2.data[1]
         np.testing.assert_array_equal(drug_row_1, drug_row_2)
@@ -208,7 +205,7 @@ class TestNodeFeatures:
         rng = np.random.default_rng(1)
         params = init_node_params(rng, tok.vocab_size, CFG)
         assert len(tok.encode("alpha")) == 1
-        feat = init_node_features(label_graph(["alpha"]), params, tok, CFG)
+        feat = init_node_features(["alpha"], params, tok, CFG)
         expect = self._expected_rows(["alpha"], params, tok) @ params["kinit.proj"].data
         np.testing.assert_allclose(feat.data, expect, atol=1e-12)
 
@@ -217,7 +214,7 @@ class TestNodeFeatures:
         params = init_node_params(rng, tok.vocab_size, CFG)
         label = "president of the united states"
         assert len(tok.encode(label)) >= 2
-        feat = init_node_features(label_graph([label]), params, tok, CFG)
+        feat = init_node_features([label], params, tok, CFG)
         assert np.all(np.isfinite(feat.data)) and feat.shape == (1, CFG.d_model)
         expect = self._expected_rows([label], params, tok) @ params["kinit.proj"].data
         np.testing.assert_allclose(feat.data, expect, atol=1e-12)
@@ -231,8 +228,7 @@ class TestNodeFeatures:
         lengths = [len(tok.encode(label)) for label in labels]
         assert {1, 2} <= set(lengths) and max(lengths) >= 5
         # repeated labels share a row; nodes come back in graph order
-        graph = label_graph(labels + ["alpha", "of alpha"])
-        feat = init_node_features(graph, params, tok, CFG)
+        feat = init_node_features(labels + ["alpha", "of alpha"], params, tok, CFG)
         expect = self._expected_rows(labels + ["alpha", "of alpha"], params, tok)
         assert feat.shape == expect.shape
         np.testing.assert_allclose(feat.data[:, :CFG.d_rnn], expect[:, :CFG.d_rnn], atol=1e-12)
@@ -243,7 +239,7 @@ class TestNodeFeatures:
     def test_label_without_tokens_rejected(self, tok):
         params = init_node_params(np.random.default_rng(6), tok.vocab_size, CFG)
         with pytest.raises(ValueError, match="produced no tokens"):
-            init_node_features(label_graph(["alpha", ""]), params, tok, CFG)
+            init_node_features(["alpha", ""], params, tok, CFG)
 
     def test_reverse_label_uses_marker_token(self, tok):
         ids = tok.encode("<r>instance of")
@@ -253,7 +249,7 @@ class TestNodeFeatures:
         rng = np.random.default_rng(3)
         params = init_node_params(rng, tok.vocab_size, CFG)
         g = build_graph([("alpha", "beta", "gamma")])
-        feats = init_node_features(g, params, tok, CFG)
+        feats = init_node_features(node_labels(g), params, tok, CFG)
         feats.sum().backward()
         assert params["kinit.emb"].grad is not None
         assert params["kinit.fw.w_hh"].grad is not None

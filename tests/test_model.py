@@ -4,6 +4,8 @@ import pytest
 from punchgen import autograd as ag
 from punchgen.config import ModelConfig
 from punchgen.model import (
+    MASK_OFF,
+    Example,
     LengthError,
     Model,
     init_params,
@@ -59,8 +61,8 @@ def np_layer_norm(x, g, b, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * g + b
 
 
-def np_mha(q_in, kv_in, p, prefix, n_heads, causal=False):
-    """Per-position loop reference attention."""
+def np_mha(q_in, kv_in, p, prefix, n_heads, bias=None):
+    """Per-position loop reference attention; `bias` (t, s) is added to each head's logits."""
     d = q_in.shape[1]
     dh = d // n_heads
     q = q_in @ p[f"{prefix}.wq"].data + p[f"{prefix}.bq"].data
@@ -74,10 +76,8 @@ def np_mha(q_in, kv_in, p, prefix, n_heads, causal=False):
             logits = np.array([
                 np.dot(q[i, sl], k[j, sl]) / np.sqrt(dh) for j in range(s)
             ])
-            if causal:
-                for j in range(s):
-                    if j > i:
-                        logits[j] = -np.inf
+            if bias is not None:
+                logits = logits + bias[i]
             e = np.exp(logits - logits.max())
             alpha = e / e.sum()
             ctx[i, sl] = sum(alpha[j] * v[j, sl] for j in range(s))
@@ -151,6 +151,16 @@ class TestFusionAttention:
         got = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads).data
         want = np_mha(s.data, h.data, fused.params, "dec.0.fuse", TINY.n_heads)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    def test_bias_matches_loop_oracle(self, fused):
+        rng = np.random.default_rng(12)
+        s = ag.Tensor(rng.normal(size=(2, 4, TINY.d_model)))
+        bias = np.triu(np.full((4, 4), MASK_OFF), k=1)
+        bias[:, 3] = MASK_OFF  # a padded key
+        got = multi_head_attention(s, s, fused.params, "dec.0.self", TINY.n_heads, bias=bias).data
+        for b in range(2):
+            want = np_mha(s.data[b], s.data[b], fused.params, "dec.0.self", TINY.n_heads, bias=bias)
+            np.testing.assert_allclose(got[b], want, atol=1e-10)
 
 
 class TestKnowledgeGate:
@@ -389,3 +399,58 @@ class TestCheckpoint:
         d1 = m.decode_step([tok.bos_id], m.encode_setup(src), None)
         d2 = fused.decode_step([tok.bos_id], fused.encode_setup(src), None)
         np.testing.assert_array_equal(d1, d2)
+
+
+class TestBatchedLoss:
+    def _examples(self, tok):
+        rows = [("the cat sat on the mat", "a dog walked", TRIPLES),
+                ("why", "the chicken crossed the road", ()),
+                ("a dog walked into a bar", "cat", [("dog", "walks into", "bar")]),
+                ("the road", "why did the cat", ())]
+        return [Example(np.asarray(tok.encode(src)),
+                        np.asarray([tok.bos_id] + tok.encode(tgt) + [tok.eos_id]), tuple(triples))
+                for src, tgt, triples in rows]
+
+    @pytest.mark.parametrize("fused_model", [False, True])
+    def test_batch_equals_sum_of_single_examples(self, plain, fused, tok, fused_model):
+        model = fused if fused_model else plain
+        batch = self._examples(tok)
+        singles, tokens = {}, 0
+        total = 0.0
+        for ex in batch:
+            for p in model.params.values():
+                p.zero_grad()
+            loss, n = model.sequence_loss(ex.src, ex.tgt, ex.triples)
+            loss.backward()
+            total += float(loss.data)
+            tokens += n
+            for name, p in model.params.items():
+                if p.grad is not None:
+                    singles[name] = singles.get(name, 0.0) + p.grad
+        for p in model.params.values():
+            p.zero_grad()
+        loss, n = model.loss_sum(batch)
+        loss.backward()
+        assert n == tokens
+        assert abs(float(loss.data) - total) <= 1e-12 * abs(total)
+        for name, p in model.params.items():
+            np.testing.assert_allclose(p.grad if p.grad is not None else 0.0, singles.get(name, 0.0),
+                                       rtol=0, atol=1e-12, err_msg=name)
+
+    def test_tape_size_does_not_grow_with_batch(self, fused, tok):
+        ex = self._examples(tok)[0]
+        one, _ = fused.loss_sum([ex])
+        many, _ = fused.loss_sum([ex] * 16)
+        assert tape_nodes(one) == tape_nodes(many)
+
+    def test_padded_graph_rows_match_single_graphs(self, fused):
+        sets = [TRIPLES, (), [("bar", "serves", "dog")], [("cat", "sits on", "mat")]]
+        nodes, bias, mix = fused._encode_graphs(sets)
+        assert mix.ravel().tolist() == [1.0, 0.0, 1.0, 1.0]
+        for b, triples in enumerate(sets):
+            real = bias[b, 0, 0] == 0.0
+            if not triples:
+                assert not real.any()
+                continue
+            np.testing.assert_allclose(nodes.data[b][real], fused.encode_triples(triples).data,
+                                       rtol=0, atol=1e-12)

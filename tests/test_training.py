@@ -9,6 +9,7 @@ from punchgen.corpus import DatasetSplit, JokeRecord
 from punchgen.model import Model, init_params, is_knowledge_only
 from punchgen.tokenizer import train_tokenizer
 from punchgen.training import (
+    EVAL_BATCH,
     Adam,
     ConfigMismatch,
     DivergenceError,
@@ -18,6 +19,7 @@ from punchgen.training import (
     prepare_examples,
     pretrain,
     save_checkpoint,
+    train_loop,
     train_step,
     transplant,
 )
@@ -143,6 +145,25 @@ class TestTrainLoop:
         loss_b, n_b = batch_loss(model, ex[::-1])
         assert n_a == n_b
         assert abs(float(loss_a.data) - float(loss_b.data)) < 1e-12
+
+    def test_eval_loss_is_the_per_example_token_mean(self, tok):
+        rng = np.random.default_rng(10)
+        plain = Model(init_params(rng, TINY, tok.vocab_size, fused=False), TINY, tok, False)
+        fused = transplant(plain, seed=1)
+        ex = prepare_examples(TRIPLED * 10, tok, TINY)
+        assert len(ex) == 40 > 2 * EVAL_BATCH
+        total, tokens = 0.0, 0
+        for e in ex:
+            loss, n = fused.sequence_loss(e.src, e.tgt, e.triples)
+            total += float(loss.data)
+            tokens += n
+        assert abs(eval_loss(fused, ex) - total / tokens) <= 1e-12
+
+    def test_no_training_example_rejected(self, tok):
+        rng = np.random.default_rng(4)
+        model = Model(init_params(rng, TINY, tok.vocab_size, fused=False), TINY, tok, False)
+        with pytest.raises(ValueError, match="no training example"):
+            train_loop(model, [], prepare_examples(RECORDS, tok, TINY), TrainConfig(), rng)
 
     def test_loss_decreases_on_tiny_corpus(self, tok):
         split = small_split()
