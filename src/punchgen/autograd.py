@@ -31,10 +31,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     if grad.shape == shape:
@@ -87,10 +83,12 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
+        # Out of place, since a backward rule may hand one array to several parents. A strided
+        # view is copied to C order: BLAS may sum a strided operand in another order.
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if grad.flags.c_contiguous else grad.copy()
         else:
-            self.grad += grad
+            self.grad = self.grad + grad
 
     def backward(self, grad: np.ndarray | None = None):
         """Reverse-accumulate gradients from this node through the tape."""
@@ -142,32 +140,14 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / other)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, idx):
         return take_slice(self, idx)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for a in axes:
-                n *= self.data.shape[a]
-        return tsum(self, axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -240,41 +220,6 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def power(a, exponent: float) -> Tensor:
-    a = _wrap(a)
-    if isinstance(exponent, Tensor):
-        raise TypeError("only constant exponents are supported")
-    data = a.data ** exponent
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return _make(data, (a,), backward)
-
-
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * data)
-
-    return _make(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _wrap(a)
-    data = np.log(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad / a.data)
-
-    return _make(data, (a,), backward)
-
-
 def tanh(a) -> Tensor:
     a = _wrap(a)
     data = np.tanh(a.data)
@@ -339,7 +284,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             for ax in sorted(axes):
                 g = np.expand_dims(g, ax)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _make(data, (a,), backward)
 
@@ -355,26 +300,16 @@ def reshape(a, shape) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def transpose(a, axes=None) -> Tensor:
-    a = _wrap(a)
-    data = np.transpose(a.data, axes)
-
-    def backward(grad):
-        if a.requires_grad:
-            if axes is None:
-                a._accumulate(np.transpose(grad))
-            else:
-                inv = np.argsort(axes)
-                a._accumulate(np.transpose(grad, inv))
-
-    return _make(data, (a,), backward)
-
-
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     """Exchange two axes; negative axes count from the end, so leading batch axes pass through."""
-    axes = list(range(_wrap(a).ndim))
-    axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-    return transpose(a, tuple(axes))
+    a = _wrap(a)
+    data = np.swapaxes(a.data, axis1, axis2)
+
+    def backward(grad):
+        if a.requires_grad:  # a swap is its own inverse
+            a._accumulate(np.swapaxes(grad, axis1, axis2))
+
+    return _make(data, (a,), backward)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -424,20 +359,6 @@ def softmax(a, axis: int = -1) -> Tensor:
         if a.requires_grad:
             inner = (grad * data).sum(axis=axis, keepdims=True)
             a._accumulate(data * (grad - inner))
-
-    return _make(data, (a,), backward)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    soft = np.exp(data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
     return _make(data, (a,), backward)
 

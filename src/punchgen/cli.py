@@ -153,13 +153,6 @@ def _load_splits(data_dir: str):
     )
 
 
-def _metrics_logger():
-    def log(event):
-        log_event(**event)
-
-    return log
-
-
 def cmd_train_pretrain(args) -> int:
     from . import training
     from .tokenizer import Tokenizer, train_tokenizer
@@ -180,7 +173,7 @@ def cmd_train_pretrain(args) -> int:
         tokenizer.save(tok_path)
         log_event(event="tokenizer.trained", vocab_size=tokenizer.vocab_size, path=str(tok_path))
     result = training.pretrain(split, cfg.model, cfg.train, tokenizer,
-                               log_fn=_metrics_logger())
+                               log_fn=lambda event: log_event(**event))
     ckpt = out / "pretrain.best"
     training.save_checkpoint(ckpt, result.model, step=result.steps_run)
     _write_meta(ckpt, "train pretrain", cfg, seed=cfg.train.seed)
@@ -197,8 +190,9 @@ def cmd_train_finetune(args) -> int:
     model, _, _, _ = training.load_checkpoint(args.init)
     if model.fused:
         raise RuntimeError(f"{args.init} is already a fused checkpoint")
+    cfg.model = model.cfg  # the checkpoint fixes the architecture; the sidecar records it
     fused = training.transplant(model, seed=cfg.train.seed)
-    result = training.finetune(fused, split, cfg.train, log_fn=_metrics_logger())
+    result = training.finetune(fused, split, cfg.train, log_fn=lambda event: log_event(**event))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "finetune.best"
@@ -217,6 +211,7 @@ def cmd_generate(args) -> int:
     if cfg.beam < 1:
         raise UsageError(f"--beam must be at least 1, got {cfg.beam}")
     model = load_model(args.ckpt)
+    cfg.model = model.cfg
     # the last beam step decodes a prefix of --max-len tokens, BOS included
     if not 1 <= cfg.max_decode_len <= model.cfg.max_len:
         raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "

@@ -89,16 +89,6 @@ def decode_record(model: Model, record: JokeRecord, beam: int = 5, max_len: int 
     return model.tokenizer.decode(best.tokens)
 
 
-def rescore(model: Model, record: JokeRecord, tokens: list[int]) -> float:
-    """Total log-probability of a token sequence under the model."""
-    with ag.no_grad():
-        memory = model.encode_setup(model.tokenizer.encode(record.setup)[: model.cfg.max_len])
-        knowledge = model.encode_triples(record.triples) if model.fused else None
-        states = model.decode_states(tokens[:-1], memory, knowledge)
-        logp = ag.log_softmax(model.logits(states), axis=1).data
-    return float(logp[np.arange(len(tokens) - 1), tokens[1:]].sum())
-
-
 def generate_file(input_path: str | Path, model: Model, output_path: str | Path,
                   beam: int = 5, max_len: int = 64, length_normalize: bool = True,
                   refs_path: str | Path | None = None) -> int:

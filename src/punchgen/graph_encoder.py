@@ -64,11 +64,10 @@ def gat_attention(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> 
 
 
 def gat_layer(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int,
-              slope: float = 0.2, activation=None) -> ag.Tensor:
+              slope: float = 0.2) -> ag.Tensor:
     """One multi-head update; heads concatenate back to width d."""
-    act = activation if activation is not None else (lambda t: ag.leaky_relu(t, slope))
     alpha = gat_attention(h, layer, mask, n_heads)
-    return merge_heads(act(alpha @ split_heads(h @ layer["wv"], n_heads)))
+    return merge_heads(ag.leaky_relu(alpha @ split_heads(h @ layer["wv"], n_heads), slope))
 
 
 def _layers(params: dict, cfg: ModelConfig) -> list[dict]:

@@ -153,12 +153,11 @@ def _request_with_retries(method, url, *, unavailable_exc, timeout, retries, bac
     raise unavailable_exc(f"{url}: {last}")
 
 
-class HttpLinker:
-    """Entity-linking endpoint: GET with a `text` query parameter.
+class _HttpProvider:
+    """A live provider: one endpoint, retry settings and a response cache."""
 
-    Expects a JSON array (possibly under an "annotations" key) of
-    objects with `spot`, `title` and `rho` fields.
-    """
+    KIND: str  # cache-key tag and the provider's name in errors
+    UNAVAILABLE: type[Exception]
 
     def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT,
                  retries: int = DEFAULT_RETRIES, backoff: float = 0.5,
@@ -169,20 +168,35 @@ class HttpLinker:
         self.backoff = backoff
         self.cache = _ResponseCache(cache_path)
 
-    def link(self, setup: str) -> list[EntityMention]:
-        key = self.cache.key("link", self.url, setup)
+    def _payload(self, cache_part: str, method: str, **request):
+        """The JSON answer for one request, from the cache or else the endpoint, which is then cached."""
+        key = self.cache.key(self.KIND, self.url, cache_part)
         payload = self.cache.get(key)
         if payload is None:
             resp = _request_with_retries(
-                "GET", self.url, params={"text": setup},
-                unavailable_exc=LinkerUnavailable,
-                timeout=self.timeout, retries=self.retries, backoff=self.backoff,
+                method, self.url, unavailable_exc=self.UNAVAILABLE,
+                timeout=self.timeout, retries=self.retries, backoff=self.backoff, **request,
             )
             try:
                 payload = resp.json()
             except ValueError as exc:
-                raise MalformedResponse(f"linker returned non-JSON: {exc}") from exc
+                raise MalformedResponse(f"{self.KIND} endpoint returned non-JSON: {exc}") from exc
             self.cache.put(key, payload)
+        return payload
+
+
+class HttpLinker(_HttpProvider):
+    """Entity-linking endpoint: GET with a `text` query parameter.
+
+    Expects a JSON array (possibly under an "annotations" key) of
+    objects with `spot`, `title` and `rho` fields.
+    """
+
+    KIND = "link"
+    UNAVAILABLE = LinkerUnavailable
+
+    def link(self, setup: str) -> list[EntityMention]:
+        payload = self._payload(setup, "GET", params={"text": setup})
         if isinstance(payload, dict):
             payload = payload.get("annotations")
         if not isinstance(payload, list):
@@ -196,46 +210,26 @@ class HttpLinker:
         return out
 
 
-class SparqlTripleStore:
+class SparqlTripleStore(_HttpProvider):
     """SPARQL-over-HTTP endpoint returning JSON bindings.
 
     Bindings must carry `relLabel` and `objLabel` variables; an
     optional `subjLabel` overrides the concept id as subject label.
     """
 
+    KIND = "sparql"
+    UNAVAILABLE = EndpointUnavailable
     QUERY = """SELECT ?relLabel ?objLabel ?subjLabel WHERE {{
   wd:{qid} ?p ?obj .
   ?rel wikibase:directClaim ?p .
   BIND(wd:{qid} AS ?subj)
   SERVICE wikibase:label {{ bd:serviceParam wikibase:language "en". }}
-}} LIMIT {limit}"""
+}} LIMIT 50"""
 
-    def __init__(self, url: str, timeout: float = DEFAULT_TIMEOUT,
-                 retries: int = DEFAULT_RETRIES, backoff: float = 0.5,
-                 cache_path: str | Path | None = None):
-        self.url = url
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.cache = _ResponseCache(cache_path)
-
-    def fetch(self, concept_id: str, limit: int = 50) -> list[Triple]:
-        query = self.QUERY.format(qid=concept_id, limit=limit)
-        key = self.cache.key("sparql", self.url, query)
-        payload = self.cache.get(key)
-        if payload is None:
-            resp = _request_with_retries(
-                "POST", self.url,
-                data={"query": query, "format": "json"},
-                headers={"Accept": "application/sparql-results+json"},
-                unavailable_exc=EndpointUnavailable,
-                timeout=self.timeout, retries=self.retries, backoff=self.backoff,
-            )
-            try:
-                payload = resp.json()
-            except ValueError as exc:
-                raise MalformedResponse(f"endpoint returned non-JSON: {exc}") from exc
-            self.cache.put(key, payload)
+    def fetch(self, concept_id: str) -> list[Triple]:
+        query = self.QUERY.format(qid=concept_id)
+        payload = self._payload(query, "POST", data={"query": query, "format": "json"},
+                                headers={"Accept": "application/sparql-results+json"})
         try:
             bindings = payload["results"]["bindings"]
         except (KeyError, TypeError) as exc:

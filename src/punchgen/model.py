@@ -253,15 +253,18 @@ class Model:
     # ----------------------------------------------------------------- decoder
 
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
-                      force_lambda_one: bool = False, dropout_rng=None,
-                      trace: list | None = None, memory_bias=None, knowledge_bias=None,
-                      mix=None) -> ag.Tensor:
-        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys."""
+                      dropout_rng=None, trace: list | None = None, memory_bias=None,
+                      knowledge_bias=None, mix=None) -> ag.Tensor:
+        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys.
+
+        Fusion runs if and only if `knowledge` is given. Without it every gate is
+        lam = 1 exactly and passes S through, so passing None is how a caller
+        forces lambda to one.
+        """
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"prefix has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
-        use_fusion = self.fused and knowledge is not None and not force_lambda_one
         causal = np.triu(np.full((ids.shape[-1],) * 2, MASK_OFF), k=1)
         y = self._embed(ids)
         for n in range(cfg.n_blocks):
@@ -273,21 +276,19 @@ class Model:
                                          bias=memory_bias, trace=trace, trace_tag="dec-cross")
             s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
-            if use_fusion:
+            y = s_states
+            if knowledge is not None:
                 fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
                                                   cfg.n_heads, bias=knowledge_bias,
                                                   trace=trace, trace_tag="fusion")
                 y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"], mix)
-            else:
-                # lam == 1 exactly: the gate passes S through untouched
-                y = s_states
             ff = feed_forward(y, p, f"dec.{n}.ff")
             y = ag.layer_norm(y + _dropout(ff, cfg.dropout, dropout_rng),
                               p[f"dec.{n}.ln3.g"], p[f"dec.{n}.ln3.b"])
         return y
 
     def logits(self, states: ag.Tensor) -> ag.Tensor:
-        return states @ ag.transpose(self.params["out.w"])
+        return states @ ag.swapaxes(self.params["out.w"], 0, 1)
 
     def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                     force_lambda_one: bool = False) -> np.ndarray:
@@ -295,7 +296,7 @@ class Model:
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if ids.shape[-1] == 0 or np.any(ids[..., 0] != self.tokenizer.bos_id):
             raise ValueError("prefix must begin with BOS")
-        states = self.decode_states(ids, memory, knowledge, force_lambda_one=force_lambda_one)
+        states = self.decode_states(ids, memory, None if force_lambda_one else knowledge)
         # a (1, d) row per prefix gives each product the 1-D call's shape, so rows match it bit for bit
         dist = ag.softmax(self.logits(states[..., -1:, :]), axis=-1)
         return dist.data[..., 0, :]
@@ -308,14 +309,16 @@ class Model:
 
         Each tgt runs BOS ... EOS. Pads trail: attention masks padded set-up and node keys, the loss
         skips PAD targets, and an example without triples keeps lam = 1 exactly, as when alone.
+        `force_lambda_one` encodes no graph, so every gate is lam = 1 exactly.
         """
         pad = self.tokenizer.pad_id
         src, memory_bias = _pad([ex.src for ex in batch], pad)
         tgt, _ = _pad([ex.tgt for ex in batch], pad)
         memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
-        graphs = self._encode_graphs([ex.triples for ex in batch]) if self.fused else (None,) * 3
-        knowledge, knowledge_bias, mix = graphs
-        states = self.decode_states(tgt[:, :-1], memory, knowledge, force_lambda_one=force_lambda_one,
+        fuse = self.fused and not force_lambda_one
+        knowledge, knowledge_bias, mix = (self._encode_graphs([ex.triples for ex in batch]) if fuse
+                                          else (None,) * 3)
+        states = self.decode_states(tgt[:, :-1], memory, knowledge,
                                     dropout_rng=dropout_rng, memory_bias=memory_bias,
                                     knowledge_bias=knowledge_bias, mix=mix)
         targets = tgt[:, 1:]

@@ -187,10 +187,6 @@ def check_full_model_gradients(entries_per_tensor: int = 2):
     return ("full-model-gradients", worst < GRAD_TOL, f"max rel err {worst:.2e} over {n} entries")
 
 
-def gradient_suite() -> list[CheckResult]:
-    return [check_gat_gradients(), check_fusion_gate_gradients(), check_full_model_gradients()]
-
-
 # --------------------------------------------------------- structural oracles
 
 

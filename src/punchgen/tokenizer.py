@@ -91,10 +91,8 @@ class Tokenizer:
             symbols = symbols[:best_i] + [symbols[best_i] + symbols[best_i + 1]] + symbols[best_i + 2:]
         return symbols
 
-    def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> list[int]:
+    def encode(self, text: str) -> list[int]:
         ids: list[int] = []
-        if add_bos:
-            ids.append(self.bos_id)
         for segment in self._special_re.split(text):
             if not segment:
                 continue
@@ -104,8 +102,6 @@ class Tokenizer:
             for word in segment.split():
                 for sym in self._merge_word(self._word_symbols(word)):
                     ids.append(self.token_to_id[sym])
-        if add_eos:
-            ids.append(self.eos_id)
         return ids
 
     # ------------------------------------------------------------------ decode

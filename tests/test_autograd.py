@@ -41,12 +41,6 @@ def check_unary(op, shape=(3, 4), positive=False, seed=0, **kwargs):
 
 
 class TestUnaryOps:
-    def test_exp(self):
-        check_unary(ag.exp)
-
-    def test_log(self):
-        check_unary(ag.log, positive=True)
-
     def test_tanh(self):
         check_unary(ag.tanh)
 
@@ -59,29 +53,20 @@ class TestUnaryOps:
     def test_leaky_relu(self):
         check_unary(ag.leaky_relu, slope=0.2, seed=3)
 
-    def test_power(self):
-        check_unary(lambda t: ag.power(t, 3.0))
-        check_unary(lambda t: ag.power(t, 0.5), positive=True)
-
     def test_softmax(self):
         check_unary(lambda t: ag.softmax(t, axis=-1))
         check_unary(lambda t: ag.softmax(t, axis=0))
 
-    def test_log_softmax(self):
-        check_unary(lambda t: ag.log_softmax(t, axis=-1))
-
     def test_reshape(self):
         check_unary(lambda t: ag.reshape(t, (4, 3)))
 
-    def test_transpose(self):
-        check_unary(ag.transpose)
+    def test_swapaxes(self):
+        check_unary(lambda t: ag.swapaxes(t, 0, 1))
+        check_unary(lambda t: ag.swapaxes(t, -1, -3), shape=(2, 3, 4))
 
     def test_sum_axis(self):
         check_unary(lambda t: ag.tsum(t, axis=1))
         check_unary(lambda t: ag.tsum(t, axis=0, keepdims=True))
-
-    def test_mean(self):
-        check_unary(lambda t: t.mean(axis=1))
 
 
 class TestBinaryOps:
@@ -132,20 +117,6 @@ class TestBinaryOps:
 
         np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-7)
-
-    def test_division(self):
-        rng = np.random.default_rng(4)
-        da = rng.normal(size=(3, 3))
-        db = np.abs(rng.normal(size=(3, 3))) + 0.5
-        a, b = ag.Tensor(da, requires_grad=True), ag.Tensor(db, requires_grad=True)
-        (a / b).sum().backward()
-
-        def f():
-            with ag.no_grad():
-                return float((da / db).sum())
-
-        np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-8)
 
 
 class TestStructuredOps:
@@ -234,10 +205,22 @@ class TestTapeMechanics:
     def test_diamond_graph(self):
         x = ag.Tensor(np.array([1.5]), requires_grad=True)
         a = x * 2.0
-        b = ag.exp(x)
+        b = ag.tanh(x)
         (a * b).sum().backward()
-        # d/dx (2x * e^x) = 2 e^x + 2x e^x
-        np.testing.assert_allclose(x.grad, 2 * np.exp(1.5) + 3.0 * np.exp(1.5))
+        # d/dx (2x * tanh x) = 2 tanh x + 2x (1 - tanh^2 x)
+        np.testing.assert_allclose(x.grad, 2 * np.tanh(1.5) + 3.0 * (1 - np.tanh(1.5) ** 2))
+
+    @pytest.mark.parametrize("s_first", [True, False])
+    def test_shared_gradient_array_is_not_written_through(self, s_first):
+        # add hands one gradient array to both parents; accumulating into it in place
+        # would leak a's later gradient into b's
+        a = ag.Tensor(np.ones(3), requires_grad=True)
+        b = ag.Tensor(np.ones(3), requires_grad=True)
+        s = a + b
+        out = s * 2.0 + a * 3.0 if s_first else a * 3.0 + s * 2.0
+        out.sum().backward()
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(a.grad, [5.0, 5.0, 5.0])
 
     def test_no_grad_blocks_tape(self):
         x = ag.Tensor(np.ones(3), requires_grad=True)

@@ -197,6 +197,36 @@ class TestSidecarRecordsWhatRan:
         assert meta["config"][field] == (flag_value if source == "flag" else config_value)
 
 
+class TestSidecarRecordsCheckpointModel:
+    """Commands that build their model from a checkpoint record its architecture, not the preset's."""
+
+    @pytest.mark.parametrize("command", ["finetune", "generate"])
+    def test_model_config_from_checkpoint(self, tmp_path, paths, command):
+        import dataclasses
+
+        from punchgen.corpus import JokeRecord, write_jsonl
+        from punchgen.model import load_params
+
+        ckpt, records, hyps = paths
+        if command == "finetune":
+            data = tmp_path / "data"
+            data.mkdir()
+            for name in ("train", "valid"):
+                write_jsonl([JokeRecord("the cat sat.", "on the mat", [("cat", "sat on", "mat")])],
+                            data / f"{name}.jsonl")
+            argv = ["train", "finetune", "--data", str(data), "--out", str(tmp_path / "ft"),
+                    "--init", str(ckpt), "--max-steps", "1", "--eval-every", "1", "--batch-size", "1"]
+            artifact = tmp_path / "ft" / "finetune.best"
+        else:
+            argv = ["generate", "--ckpt", str(ckpt), "--input", str(records), "--output", str(hyps),
+                    "--beam", "1", "--max-len", "4"]
+            artifact = hyps
+        assert run_cli(*argv, "--preset", "desk") == 0
+        meta = json.loads(Path(str(artifact) + ".meta.json").read_text())
+        assert meta["config"]["model"] == dataclasses.asdict(load_params(ckpt)[1])
+        assert meta["config"]["model"]["d_model"] == 8
+
+
 class TestFlagChecks:
     """Bad values exit 1 before any input is read or output written."""
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from punchgen import corpus
 from punchgen.corpus import (
     BowVector,
-    CharsetPolicy,
     JokeRecord,
     RawJoke,
     SegmentationError,
@@ -50,8 +49,6 @@ class TestFilter:
     def test_charset_rejection(self):
         text = ACCEPTED_JOKE + " é"
         assert filter_joke(RawJoke(text)) is None
-        lenient = CharsetPolicy(extra_allowed="é")
-        assert filter_joke(RawJoke(text), charset=lenient) is not None
 
     def test_curly_quotes_allowed_by_default(self):
         text = ACCEPTED_JOKE.replace("I", "I’d", 1)

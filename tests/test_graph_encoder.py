@@ -128,9 +128,8 @@ class TestLayer:
         layer = {"wq": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
                  "wk": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
                  "wv": ag.Tensor(np.eye(CFG.d_model))}
-        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), CFG.n_heads,
-                        activation=lambda t: t)
-        np.testing.assert_allclose(out.data, g.features.data)
+        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), CFG.n_heads, slope=0.2)
+        np.testing.assert_allclose(out.data, ag.leaky_relu(g.features, 0.2).data)
 
     def test_equal_features_stay_equal(self):
         rng = np.random.default_rng(6)

@@ -304,6 +304,22 @@ class TestResponseCache:
             sys.setswitchinterval(interval)
         assert _ResponseCache(path).data == want
 
+    def test_cache_keys_unchanged(self, tmp_path):
+        """Keys are pinned as digests, so a cache file written by an earlier version still answers."""
+        path = tmp_path / "cache.jsonl"
+        link_key = "76f0cd8cfc1af36c984feee23d6f1537544ade837585be267abe02af0647d585"
+        sparql_key = "67a296e832e9cfbea4e909d89ec8674326060009378c194d0165286df8e3b737"
+        path.write_text(json.dumps({link_key: [{"spot": "Jobs", "title": "Q19837", "rho": 0.6}]})
+                        + "\n" + json.dumps({sparql_key: {"results": {"bindings": [
+                            {"relLabel": {"value": "occupation"}, "objLabel": {"value": "entrepreneur"}}]}}}),
+                        encoding="utf-8")
+        # nothing listens on port 1: only the cache can answer
+        linker = HttpLinker("http://127.0.0.1:1/link", backoff=0, retries=1, timeout=0.2, cache_path=path)
+        store = SparqlTripleStore("http://127.0.0.1:1/sparql", backoff=0, retries=1, timeout=0.2,
+                                  cache_path=path)
+        assert linker.link("Jobs founded Apple.") == [EntityMention("Jobs", "Q19837", 0.6)]
+        assert store.fetch("Q19837") == [Triple("Q19837", "occupation", "entrepreneur")]
+
 
 class TestSparqlStore:
     def test_contract_and_subject_fallback(self, http_stub):

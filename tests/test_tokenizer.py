@@ -57,14 +57,10 @@ class TestSpecials:
         assert ids[0] == tok.rev_id
         assert tok.decode(ids) == "<r>position held"
 
-    def test_bos_eos_flags(self, tok):
-        ids = tok.encode("the cat", add_bos=True, add_eos=True)
-        assert ids[0] == tok.bos_id and ids[-1] == tok.eos_id
-        assert tok.decode(ids) == "the cat"
-
     def test_pad_dropped_on_decode(self, tok):
         ids = tok.encode("the cat") + [tok.pad_id] * 3
         assert tok.decode(ids) == "the cat"
+        assert tok.decode([tok.bos_id] + ids + [tok.eos_id]) == "the cat"
 
 
 class TestTraining:
