@@ -258,7 +258,7 @@ def relu(a) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
+def leaky_relu(a, slope: float) -> Tensor:
     a = _wrap(a)
     data = np.where(a.data > 0, a.data, slope * a.data)
 

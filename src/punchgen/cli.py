@@ -53,7 +53,10 @@ def _load_run_config(args) -> "config.RunConfig":
 
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     if path:
-        cfg = config.RunConfig.load(path)
+        try:
+            cfg = config.RunConfig.load(path)
+        except (TypeError, ValueError) as exc:  # an unknown field or a value its dataclass rejects
+            raise UsageError(f"config {path}: {exc}") from None
     else:
         cfg = config.preset(getattr(args, "preset", None) or "desk")
     names = ("max_steps", "batch_size", "learning_rate", "eval_every", "seed")
@@ -155,6 +158,7 @@ def _load_splits(data_dir: str):
 
 def cmd_train_pretrain(args) -> int:
     from . import training
+    from .model import save_checkpoint
     from .tokenizer import Tokenizer, train_tokenizer
 
     cfg = _load_run_config(args)
@@ -175,7 +179,7 @@ def cmd_train_pretrain(args) -> int:
     result = training.pretrain(split, cfg.model, cfg.train, tokenizer,
                                log_fn=lambda event: log_event(**event))
     ckpt = out / "pretrain.best"
-    training.save_checkpoint(ckpt, result.model, step=result.steps_run)
+    save_checkpoint(ckpt, result.model, step=result.steps_run)
     _write_meta(ckpt, "train pretrain", cfg, seed=cfg.train.seed)
     say(f"pretrain: best valid loss {result.best_val_loss:.4f} "
         f"after {result.steps_run} steps -> {ckpt}")
@@ -184,10 +188,11 @@ def cmd_train_pretrain(args) -> int:
 
 def cmd_train_finetune(args) -> int:
     from . import training
+    from .model import load_checkpoint, save_checkpoint
 
     cfg = _load_run_config(args)
     split = _load_splits(args.data)
-    model, _, _, _ = training.load_checkpoint(args.init)
+    model = load_checkpoint(args.init)[0]
     if model.fused:
         raise RuntimeError(f"{args.init} is already a fused checkpoint")
     cfg.model = model.cfg  # the checkpoint fixes the architecture; the sidecar records it
@@ -196,7 +201,7 @@ def cmd_train_finetune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "finetune.best"
-    training.save_checkpoint(ckpt, result.model, step=result.steps_run)
+    save_checkpoint(ckpt, result.model, step=result.steps_run)
     _write_meta(ckpt, "train finetune", cfg, seed=cfg.train.seed)
     say(f"finetune: best valid loss {result.best_val_loss:.4f} "
         f"after {result.steps_run} steps -> {ckpt}")
@@ -205,12 +210,12 @@ def cmd_train_finetune(args) -> int:
 
 def cmd_generate(args) -> int:
     from .decoding import generate_file
-    from .model import load_model
+    from .model import load_checkpoint
 
     cfg = _load_run_config(args)
     if cfg.beam < 1:
         raise UsageError(f"--beam must be at least 1, got {cfg.beam}")
-    model = load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)[0]
     cfg.model = model.cfg
     # the last beam step decodes a prefix of --max-len tokens, BOS included
     if not 1 <= cfg.max_decode_len <= model.cfg.max_len:

@@ -25,7 +25,6 @@ class ModelConfig:
     vocab_size: int = 25000
     max_len: int = 128
     dropout: float = 0.1
-    leaky_slope: float = 0.2
 
     def __post_init__(self):
         if min(self.d_model, self.n_blocks, self.n_heads, self.d_ff,
@@ -35,6 +34,8 @@ class ModelConfig:
             raise ValueError("n_heads must divide d_model")
         if self.d_model % 2:
             raise ValueError("d_model must be even (bidirectional node encoder)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def d_head(self) -> int:
@@ -44,10 +45,6 @@ class ModelConfig:
     def d_rnn(self) -> int:
         # forward/backward halves concatenate back to d_model
         return self.d_model // 2
-
-    @property
-    def d_emb(self) -> int:
-        return self.d_model
 
 
 @dataclass
@@ -71,6 +68,12 @@ class TrainConfig:
         for name in ("max_steps", "eval_every", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("clip_norm", "eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -87,6 +90,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a run config is a mapping of fields, not a {type(data).__name__}")
         model = ModelConfig(**data.get("model", {}))
         train = TrainConfig(**data.get("train", {}))
         extra = {k: v for k, v in data.items() if k not in ("model", "train")}

@@ -21,6 +21,7 @@ from .config import ModelConfig
 
 MASK_OFF = -1e30
 GAT_WEIGHTS = ("wq", "wk", "wv")
+LEAKY_SLOPE = 0.2  # of the LeakyReLU on each head's output
 
 
 def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.Tensor]:
@@ -63,11 +64,10 @@ def gat_attention(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> 
     return ag.softmax(logits, axis=-1)
 
 
-def gat_layer(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int,
-              slope: float = 0.2) -> ag.Tensor:
+def gat_layer(h: ag.Tensor, layer: dict, mask: np.ndarray, n_heads: int) -> ag.Tensor:
     """One multi-head update; heads concatenate back to width d."""
     alpha = gat_attention(h, layer, mask, n_heads)
-    return merge_heads(ag.leaky_relu(alpha @ split_heads(h @ layer["wv"], n_heads), slope))
+    return merge_heads(ag.leaky_relu(alpha @ split_heads(h @ layer["wv"], n_heads), LEAKY_SLOPE))
 
 
 def _layers(params: dict, cfg: ModelConfig) -> list[dict]:
@@ -77,5 +77,5 @@ def _layers(params: dict, cfg: ModelConfig) -> list[dict]:
 def encode_knowledge(h: ag.Tensor, mask: np.ndarray, params: dict, cfg: ModelConfig) -> ag.Tensor:
     """Apply the configured attention layers to node features h (..., n, d) under an in_neighbor_mask."""
     for layer in _layers(params, cfg):
-        h = gat_layer(h, layer, mask, cfg.n_heads, slope=cfg.leaky_slope)
+        h = gat_layer(h, layer, mask, cfg.n_heads)
     return h

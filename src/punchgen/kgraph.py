@@ -79,10 +79,10 @@ def build_graph(triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
 
 def init_node_params(rng: np.random.Generator, vocab_size: int, cfg: ModelConfig) -> dict[str, ag.Tensor]:
     """Parameters of the recurrent node-feature initializer."""
-    h, d_in, d = cfg.d_rnn, cfg.d_emb, cfg.d_model
-    params = {"kinit.emb": ag.parameter(rng, (vocab_size, d_in), name="kinit.emb")}
+    h, d = cfg.d_rnn, cfg.d_model
+    params = {"kinit.emb": ag.parameter(rng, (vocab_size, d), name="kinit.emb")}
     for side in ("fw", "bw"):
-        params[f"kinit.{side}.w_ih"] = ag.parameter(rng, (d_in, 4 * h), name=f"kinit.{side}.w_ih")
+        params[f"kinit.{side}.w_ih"] = ag.parameter(rng, (d, 4 * h), name=f"kinit.{side}.w_ih")
         params[f"kinit.{side}.w_hh"] = ag.parameter(rng, (h, 4 * h), name=f"kinit.{side}.w_hh")
         params[f"kinit.{side}.b"] = ag.Tensor(np.zeros(4 * h), requires_grad=True, name=f"kinit.{side}.b")
     params["kinit.proj"] = ag.parameter(rng, (2 * h, d), name="kinit.proj")

@@ -36,7 +36,7 @@ from .graph_encoder import (MASK_OFF, encode_knowledge, in_neighbor_mask, init_g
 from .kgraph import KnowledgeGraph, build_graph, init_node_features, init_node_params
 from .tokenizer import Tokenizer
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class LengthError(Exception):
@@ -66,10 +66,12 @@ def partition_names(params: dict) -> dict[str, list[str]]:
 
 
 def _attn_params(rng, prefix: str, d: int) -> dict[str, ag.Tensor]:
+    """Q, K, V and output projections; K has no bias, as q . b_k adds one constant to a logit row."""
     out = {}
     for w in ("wq", "wk", "wv", "wo"):
         out[f"{prefix}.{w}"] = ag.parameter(rng, (d, d), name=f"{prefix}.{w}")
-        out[f"{prefix}.b{w[1]}"] = ag.Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b{w[1]}")
+        if w != "wk":
+            out[f"{prefix}.b{w[1]}"] = ag.Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b{w[1]}")
     return out
 
 
@@ -157,7 +159,7 @@ def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str
     t, d = q_in.shape[-2:]
     s = kv_in.shape[-2]
     q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
-    k = split_heads(kv_in @ p[f"{prefix}.wk"] + p[f"{prefix}.bk"], n_heads)
+    k = split_heads(kv_in @ p[f"{prefix}.wk"], n_heads)
     v = split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads)
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
     if bias is not None:
@@ -290,33 +292,29 @@ class Model:
     def logits(self, states: ag.Tensor) -> ag.Tensor:
         return states @ ag.swapaxes(self.params["out.w"], 0, 1)
 
-    def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
-                    force_lambda_one: bool = False) -> np.ndarray:
+    def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None) -> np.ndarray:
         """Next-token distribution (sums to 1) after a prefix (t,), or one row per prefix of (k, t)."""
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if ids.shape[-1] == 0 or np.any(ids[..., 0] != self.tokenizer.bos_id):
             raise ValueError("prefix must begin with BOS")
-        states = self.decode_states(ids, memory, None if force_lambda_one else knowledge)
+        states = self.decode_states(ids, memory, knowledge)
         # a (1, d) row per prefix gives each product the 1-D call's shape, so rows match it bit for bit
         dist = ag.softmax(self.logits(states[..., -1:, :]), axis=-1)
         return dist.data[..., 0, :]
 
     # -------------------------------------------------------------------- loss
 
-    def loss_sum(self, batch: list[Example], dropout_rng=None,
-                 force_lambda_one: bool = False) -> tuple[ag.Tensor, int]:
+    def loss_sum(self, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:
         """Teacher-forced summed cross-entropy and token count of a batch, in one padded forward.
 
         Each tgt runs BOS ... EOS. Pads trail: attention masks padded set-up and node keys, the loss
         skips PAD targets, and an example without triples keeps lam = 1 exactly, as when alone.
-        `force_lambda_one` encodes no graph, so every gate is lam = 1 exactly.
         """
         pad = self.tokenizer.pad_id
         src, memory_bias = _pad([ex.src for ex in batch], pad)
         tgt, _ = _pad([ex.tgt for ex in batch], pad)
         memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
-        fuse = self.fused and not force_lambda_one
-        knowledge, knowledge_bias, mix = (self._encode_graphs([ex.triples for ex in batch]) if fuse
+        knowledge, knowledge_bias, mix = (self._encode_graphs([ex.triples for ex in batch]) if self.fused
                                           else (None,) * 3)
         states = self.decode_states(tgt[:, :-1], memory, knowledge,
                                     dropout_rng=dropout_rng, memory_bias=memory_bias,
@@ -328,29 +326,31 @@ class Model:
 
     def sequence_loss(self, src_ids, tgt_ids, triples=(), dropout_rng=None,
                       force_lambda_one: bool = False) -> tuple[ag.Tensor, int]:
-        """loss_sum of the one example (src_ids, tgt_ids, triples)."""
-        return self.loss_sum([Example(src_ids, tgt_ids, tuple(triples))], dropout_rng=dropout_rng,
-                             force_lambda_one=force_lambda_one)
+        """loss_sum of the one example (src_ids, tgt_ids, triples).
+
+        `force_lambda_one` drops the triples, so every gate is lam = 1 exactly.
+        """
+        triples = () if force_lambda_one else tuple(triples)
+        return self.loss_sum([Example(src_ids, tgt_ids, triples)], dropout_rng=dropout_rng)
 
 
 # ------------------------------------------------------------------ checkpoints
 
 
-def save_params(path: str | Path, params: dict[str, ag.Tensor], cfg: ModelConfig,
-                tokenizer: Tokenizer, fused: bool, step: int = 0,
-                opt_state: dict | None = None, rng_state: dict | None = None) -> None:
-    """Single-file checkpoint: JSON manifest + named float64 tensors (npz)."""
+def save_checkpoint(path: str | Path, model: Model, step: int = 0, opt_state: dict | None = None,
+                    rng_state: dict | None = None) -> None:
+    """Single-file checkpoint: JSON manifest + named float64 tensors (npz), Adam moments included."""
     manifest = {
         "format_version": CHECKPOINT_VERSION,
-        "fused": fused,
-        "config": dataclasses.asdict(cfg),
-        "partition": partition_names(params),
+        "fused": model.fused,
+        "config": dataclasses.asdict(model.cfg),
+        "partition": partition_names(model.params),
         "step": step,
         "rng_state": rng_state,
-        "tokenizer": tokenizer.dumps(),
+        "tokenizer": model.tokenizer.dumps(),
         "adam_t": opt_state["t"] if opt_state else 0,
     }
-    arrays = {f"param.{k}": v.data for k, v in params.items()}
+    arrays = {f"param.{k}": v.data for k, v in model.params.items()}
     if opt_state:
         arrays.update({f"adam_m.{k}": v for k, v in opt_state["m"].items()})
         arrays.update({f"adam_v.{k}": v for k, v in opt_state["v"].items()})
@@ -359,8 +359,8 @@ def save_params(path: str | Path, params: dict[str, ag.Tensor], cfg: ModelConfig
     Path(path).write_bytes(buf.getvalue())
 
 
-def load_params(path: str | Path):
-    """Returns (params, cfg, tokenizer, manifest, opt_state|None)."""
+def load_checkpoint(path: str | Path) -> tuple[Model, dict | None, int, dict | None]:
+    """Returns (model, opt_state|None, step, rng_state|None); other format versions are refused."""
     with np.load(path, allow_pickle=False) as data:
         manifest = json.loads(str(data["manifest"]))
         if manifest.get("format_version") != CHECKPOINT_VERSION:
@@ -375,12 +375,7 @@ def load_params(path: str | Path):
                 opt_m[key[len("adam_m."):]] = data[key]
             elif key.startswith("adam_v."):
                 opt_v[key[len("adam_v."):]] = data[key]
-    cfg = ModelConfig(**manifest["config"])
-    tokenizer = Tokenizer.loads(manifest["tokenizer"])
-    opt_state = {"m": opt_m, "v": opt_v, "t": manifest.get("adam_t", 0)} if opt_m else None
-    return params, cfg, tokenizer, manifest, opt_state
-
-
-def load_model(path: str | Path) -> Model:
-    params, cfg, tokenizer, manifest, _ = load_params(path)
-    return Model(params, cfg, tokenizer, fused=manifest["fused"])
+    model = Model(params, ModelConfig(**manifest["config"]), Tokenizer.loads(manifest["tokenizer"]),
+                  fused=manifest["fused"])
+    opt_state = {"m": opt_m, "v": opt_v, "t": manifest["adam_t"]} if opt_m else None
+    return model, opt_state, manifest["step"], manifest["rng_state"]

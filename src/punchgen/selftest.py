@@ -153,7 +153,8 @@ def check_fusion_gate_gradients():
     params = {}
     for w in ("wq", "wk", "wv", "wo"):
         params[f"f.{w}"] = ag.parameter(rng, (d, d))
-        params[f"f.b{w[1]}"] = ag.Tensor(rng.normal(size=d) * 0.1, requires_grad=True)
+        if w != "wk":
+            params[f"f.b{w[1]}"] = ag.Tensor(rng.normal(size=d) * 0.1, requires_grad=True)
     params["wg"] = ag.parameter(rng, (d, d))
     s_data = rng.normal(size=(4, d))
     h_data = rng.normal(size=(5, d))
@@ -206,17 +207,14 @@ def check_collapse_equivalence(n_prefixes: int = 100):
     train_loop(plain, ex, ex, tcfg, rng)
 
     fused = transplant(plain, seed=5)
-    triples = [("dog", "instance of", "animal")]
     worst = 0.0
     rng = np.random.default_rng(6)
     for _ in range(n_prefixes):
         src = rng.integers(4, tok.vocab_size, size=int(rng.integers(2, 10)))
         prefix = np.concatenate([[tok.bos_id], rng.integers(4, tok.vocab_size,
                                                             size=int(rng.integers(1, 8)))])
-        with ag.no_grad():
-            knowledge = fused.encode_triples(triples)
-            d_f = fused.decode_step(prefix, fused.encode_setup(src), knowledge,
-                                    force_lambda_one=True)
+        with ag.no_grad():  # no knowledge: every gate is lam = 1
+            d_f = fused.decode_step(prefix, fused.encode_setup(src), None)
             d_p = plain.decode_step(prefix, plain.encode_setup(src), None)
         worst = max(worst, float(np.abs(d_f - d_p).max()))
     return ("collapse-equivalence", worst <= 1e-6,

@@ -12,21 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
 from .config import ModelConfig, TrainConfig
 from .corpus import DatasetSplit, JokeRecord
-from .model import (
-    Example,
-    Model,
-    init_params,
-    is_knowledge_only,
-    load_params,
-    save_params,
-)
+from .model import Example, Model, init_params, is_knowledge_only
 from .tokenizer import Tokenizer
 
 EVAL_BATCH = 16  # examples per validation forward; a large valid split never becomes one forward
@@ -83,21 +75,19 @@ class Adam:
         return {"m": {k: v.copy() for k, v in self.m.items()},
                 "v": {k: v.copy() for k, v in self.v.items()}, "t": self.t}
 
-    def step(self, params: dict[str, ag.Tensor]) -> bool:
+    def step(self, params: dict[str, ag.Tensor]) -> float:
         """Apply one update from the accumulated .grad fields.
 
-        Returns True when clipping was active this step. Parameters
-        without a gradient are treated as zero-gradient.
+        Returns the global gradient norm before clipping; clipping was
+        active when it exceeds clip_norm. Parameters without a gradient
+        are treated as zero-gradient.
         """
         grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data))
                  for name, p in params.items()}
-        clipped = False
-        if self.clip_norm is not None:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-            if total > self.clip_norm:
-                scale = self.clip_norm / total
-                grads = {k: g * scale for k, g in grads.items()}
-                clipped = True
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if self.clip_norm is not None and total > self.clip_norm:
+            scale = self.clip_norm / total
+            grads = {k: g * scale for k, g in grads.items()}
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -110,7 +100,7 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-        return clipped
+        return total
 
 
 def batch_loss(model: Model, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:
@@ -126,8 +116,8 @@ def eval_loss(model: Model, examples: list[Example]) -> float:
     return sum(float(loss.data) for loss, _ in sums) / max(sum(n for _, n in sums), 1)
 
 
-def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[float, bool]:
-    """One optimizer step; returns (per-token loss, clipped?)."""
+def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[float, float]:
+    """One optimizer step; returns (per-token loss, pre-clip gradient norm)."""
     for p in model.params.values():
         p.zero_grad()
     loss, _ = batch_loss(model, batch, dropout_rng=rng)
@@ -135,8 +125,7 @@ def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[floa
     if not math.isfinite(value):
         raise DivergenceError(f"loss is {value}")
     loss.backward()
-    clipped = opt.step(model.params)
-    return value, clipped
+    return value, opt.step(model.params)
 
 
 def _snapshot(params: dict[str, ag.Tensor]) -> dict[str, np.ndarray]:
@@ -164,9 +153,10 @@ def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
     step = 0
     for step in range(1, tcfg.max_steps + 1):
         idx = rng.integers(0, len(train_ex), size=tcfg.batch_size)
-        loss, clipped = train_step(model, [train_ex[i] for i in idx], opt, rng)
-        event = {"step": step, "split": "train", "loss": loss, "ppl": math.exp(min(loss, 50))}
-        if clipped:
+        loss, grad_norm = train_step(model, [train_ex[i] for i in idx], opt, rng)
+        event = {"step": step, "split": "train", "loss": loss, "ppl": math.exp(min(loss, 50)),
+                 "grad_norm": grad_norm}
+        if opt.clip_norm is not None and grad_norm > opt.clip_norm:
             event["clipped"] = True
         history.append(event)
         log(event)
@@ -227,20 +217,3 @@ def finetune(model: Model, split: DatasetSplit, tcfg: TrainConfig,
     train_ex = prepare_examples(split.train, model.tokenizer, model.cfg)
     valid_ex = prepare_examples(split.valid, model.tokenizer, model.cfg)
     return train_loop(model, train_ex, valid_ex, tcfg, rng, log_fn=log_fn)
-
-
-# ------------------------------------------------------------------ checkpoints
-
-
-def save_checkpoint(path: str | Path, model: Model, opt: Adam | None = None,
-                    step: int = 0, rng: np.random.Generator | None = None) -> None:
-    rng_state = rng.bit_generator.state if rng is not None else None
-    save_params(path, model.params, model.cfg, model.tokenizer, model.fused,
-                step=step, opt_state=opt.state() if opt else None, rng_state=rng_state)
-
-
-def load_checkpoint(path: str | Path):
-    """Returns (model, opt_state|None, step, rng_state|None)."""
-    params, cfg, tokenizer, manifest, opt_state = load_params(path)
-    model = Model(params, cfg, tokenizer, fused=manifest["fused"])
-    return model, opt_state, manifest["step"], manifest.get("rng_state")

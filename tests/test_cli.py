@@ -129,15 +129,15 @@ def paths(tmp_path):
     """A tiny plain checkpoint (max_len 16), one input record and the output path."""
     from punchgen.config import ModelConfig
     from punchgen.corpus import JokeRecord, write_jsonl
-    from punchgen.model import init_params, save_params
+    from punchgen.model import Model, init_params, save_checkpoint
     from punchgen.tokenizer import train_tokenizer
 
     cfg = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
                       max_len=16, dropout=0.0)
     tok = train_tokenizer(["the cat sat on the mat"], vocab_size=cfg.vocab_size)
     ckpt = tmp_path / "model.ckpt"
-    save_params(ckpt, init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=False),
-                cfg, tok, fused=False)
+    params = init_params(np.random.default_rng(0), cfg, tok.vocab_size, fused=False)
+    save_checkpoint(ckpt, Model(params, cfg, tok, fused=False))
     records = tmp_path / "test.jsonl"
     write_jsonl([JokeRecord("the cat sat.", "on the mat")], records)
     return ckpt, records, tmp_path / "hyps.txt"
@@ -205,7 +205,7 @@ class TestSidecarRecordsCheckpointModel:
         import dataclasses
 
         from punchgen.corpus import JokeRecord, write_jsonl
-        from punchgen.model import load_params
+        from punchgen.model import load_checkpoint
 
         ckpt, records, hyps = paths
         if command == "finetune":
@@ -223,7 +223,7 @@ class TestSidecarRecordsCheckpointModel:
             artifact = hyps
         assert run_cli(*argv, "--preset", "desk") == 0
         meta = json.loads(Path(str(artifact) + ".meta.json").read_text())
-        assert meta["config"]["model"] == dataclasses.asdict(load_params(ckpt)[1])
+        assert meta["config"]["model"] == dataclasses.asdict(load_checkpoint(ckpt)[0].cfg)
         assert meta["config"]["model"]["d_model"] == 8
 
 
@@ -291,6 +291,27 @@ class TestFlagChecks:
         assert "dedup threshold must be in (0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc,field", [
+        ({"model": {"dropout": 1.5}}, "dropout"),
+        ({"train": {"clip_norm": -1.0}}, "clip_norm"),
+        ({"train": {"beta1": 1.0}}, "beta1"),
+        ({"model": {"leaky_slope": 0.2}}, "leaky_slope"),  # no longer a field
+        ({"beams": 3}, "beams"),  # not a field
+        (["beam", 3], "mapping"),
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, capsys, doc, field):
+        import yaml
+
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "ckpt"
+        # the data directory does not exist: reading it first would exit 2, not 1
+        code = run_cli("train", "pretrain", "--data", str(tmp_path / "missing"), "--out", str(out),
+                       "--config", str(cfg))
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCli:
     def test_table_and_json_modes(self, tmp_path, capsys):
@@ -342,6 +363,23 @@ class TestConfigPlumbing:
 
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field,value", [
+        ("clip_norm", 0.0), ("clip_norm", -1.0), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta2", 1.0), ("eps", 0.0),
+    ])
+    def test_train_config_rejects_optimizer_values(self, field, value):
+        from punchgen.config import TrainConfig
+
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.1])
+    def test_model_config_rejects_dropout_outside_unit_interval(self, value):
+        from punchgen.config import ModelConfig
+
+        with pytest.raises(ValueError, match="dropout"):
+            ModelConfig(dropout=value)
 
     def test_unknown_preset(self):
         from punchgen.config import preset

@@ -6,6 +6,7 @@ from punchgen import autograd as ag
 from punchgen.config import ModelConfig
 from punchgen.graph_encoder import (
     GAT_WEIGHTS,
+    LEAKY_SLOPE,
     encode_knowledge,
     gat_attention,
     gat_layer,
@@ -64,14 +65,14 @@ def dense_softmax_oracle(h, layer, mask):
     return out
 
 
-def layer_oracle(h, layer, mask, slope=0.2):
+def layer_oracle(h, layer, mask):
     """Straight-line reference for one attention layer."""
     alphas = dense_softmax_oracle(h, layer, mask)
     heads = []
     for head, alpha in zip(head_weights(layer), alphas):
         v = h @ head["wv"]
         pre = alpha @ v
-        heads.append(np.where(pre > 0, pre, slope * pre))
+        heads.append(np.where(pre > 0, pre, LEAKY_SLOPE * pre))
     return np.concatenate(heads, axis=1)
 
 
@@ -128,8 +129,8 @@ class TestLayer:
         layer = {"wq": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
                  "wk": ag.Tensor(np.zeros((CFG.d_model, CFG.d_model))),
                  "wv": ag.Tensor(np.eye(CFG.d_model))}
-        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), CFG.n_heads, slope=0.2)
-        np.testing.assert_allclose(out.data, ag.leaky_relu(g.features, 0.2).data)
+        out = gat_layer(g.features, layer, in_neighbor_mask(1, []), CFG.n_heads)
+        np.testing.assert_allclose(out.data, ag.leaky_relu(g.features, LEAKY_SLOPE).data)
 
     def test_equal_features_stay_equal(self):
         rng = np.random.default_rng(6)
@@ -187,8 +188,8 @@ class TestEncodeKnowledge:
         assert sorted(params) == [f"gat.{l}.{w}" for l in range(2) for w in sorted(GAT_WEIGHTS)]
         assert params["gat.0.wq"].shape == (cfg.d_model, cfg.n_heads * cfg.d_head)
         layers = [{w: params[f"gat.{l}.{w}"] for w in GAT_WEIGHTS} for l in range(2)]
-        h1 = layer_oracle(g.features.data, layers[0], mask, slope=cfg.leaky_slope)
-        h2 = layer_oracle(h1, layers[1], mask, slope=cfg.leaky_slope)
+        h1 = layer_oracle(g.features.data, layers[0], mask)
+        h2 = layer_oracle(h1, layers[1], mask)
         out = encode(g, params, cfg)
         np.testing.assert_allclose(out.data, h2, atol=1e-6)
 
