@@ -195,10 +195,17 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y; a 2-D y shared by x's batch axes meets all of x's rows in one 2-D product."""
+    if x.ndim > 2 and y.ndim == 2:
+        return (x.reshape(-1, x.shape[-1]) @ y).reshape(x.shape[:-1] + y.shape[-1:])
+    return x @ y
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy semantics: 1-D operands, leading batch axes, broadcasting."""
     a, b = _wrap(a), _wrap(b)
-    data = a.data @ b.data
+    data = _product(a.data, b.data)
 
     def backward(grad):
         # promote 1-D operands to matrices as numpy does; one rule then covers every shape
@@ -207,7 +214,7 @@ def matmul(a, b) -> Tensor:
         g = grad.reshape(np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
                          + (x.shape[-2], y.shape[-1]))
         if a.requires_grad:
-            ga = g @ np.swapaxes(y, -1, -2)
+            ga = _product(g, np.swapaxes(y, -1, -2))
             a._accumulate(_unbroadcast(ga, x.shape).reshape(a.data.shape))
         if b.requires_grad:
             # a 2-D weight shared across a batch gets one 2-D product over the folded batch axes
@@ -233,12 +240,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    x = a.data
-    data = np.empty_like(x)
-    pos = x >= 0
-    data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(a.data))  # never overflows
+    data = np.where(a.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(grad):
         if a.requires_grad:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .corpus import JokeRecord, read_jsonl
-from .model import Model
+from .model import DecoderCache, Model
 
 
 @dataclass
@@ -66,9 +66,12 @@ def beam_search(step_fn, bos_id: int, eos_id: int, beam: int = 5, max_len: int =
 
 
 def model_step_fn(model: Model, memory: ag.Tensor, knowledge: ag.Tensor | None):
+    """The step function of one record: a decoder cache carries each call's positions to the next."""
+    cache = DecoderCache()
+
     def step(prefixes: np.ndarray) -> np.ndarray:
         with ag.no_grad():
-            dist = model.decode_step(prefixes, memory, knowledge)
+            dist = model.decode_step(prefixes, memory, knowledge, cache)
         with np.errstate(divide="ignore"):
             return np.log(dist)
 

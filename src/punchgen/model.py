@@ -149,18 +149,59 @@ def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
     return out, np.where(real, 0.0, MASK_OFF)[:, None, None, :]
 
 
+class DecoderCache:
+    """Decoder keys and values kept across `Model.decode_states` calls on one memory and knowledge.
+
+    `past` maps each self-attention to its (K, V) over the positions decoded so far, each
+    (rows, heads, t, d_head). `fixed` maps each cross-attention and fusion to the (K, V) of
+    the set-up or knowledge, projected on first use. `rows` maps each prefix of the last
+    `Model.decode_step` call, as a tuple of ids, to its row.
+    """
+
+    def __init__(self):
+        self.past: dict[str, tuple] = {}
+        self.fixed: dict[str, tuple] = {}
+        self.rows: dict[tuple, int] = {}
+
+    @property
+    def length(self) -> int:
+        """Positions decoded so far."""
+        return next(iter(self.past.values()))[0].shape[-2] if self.past else 0
+
+    def keys_values(self, name: str, project) -> tuple:
+        """(K, V) of decoder attention `name`, given `project()`, the keys and values of its new input.
+
+        A self-attention's grow by the new positions; a cross-attention's or fusion's are projected once.
+        """
+        if not name.endswith(".self"):
+            if name not in self.fixed:
+                self.fixed[name] = project()
+            return self.fixed[name]
+        k, v = project()
+        if name in self.past:
+            k, v = (ag.concat([old, new], axis=-2) for old, new in zip(self.past[name], (k, v)))
+        self.past[name] = k, v
+        return k, v
+
+
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
                          n_heads: int, bias: np.ndarray | None = None,
-                         trace: list | None = None, trace_tag: str = "") -> ag.Tensor:
+                         trace: list | None = None, trace_tag: str = "",
+                         cache: DecoderCache | None = None) -> ag.Tensor:
     """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast.
 
-    `bias` adds to the (..., heads, t, s) logits; MASK_OFF hides a key.
+    `bias` adds to the (..., heads, t, s) logits; MASK_OFF hides a key. With a `cache`, the
+    keys and values come from `DecoderCache.keys_values`.
     """
     t, d = q_in.shape[-2:]
-    s = kv_in.shape[-2]
     q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
-    k = split_heads(kv_in @ p[f"{prefix}.wk"], n_heads)
-    v = split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads)
+
+    def project():
+        return (split_heads(kv_in @ p[f"{prefix}.wk"], n_heads),
+                split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads))
+
+    k, v = project() if cache is None else cache.keys_values(prefix, project)
+    s = k.shape[-2]
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
     if bias is not None:
         logits = logits + ag.Tensor(bias)
@@ -201,9 +242,10 @@ class Model:
 
     # -------------------------------------------------------------- embeddings
 
-    def _embed(self, ids: np.ndarray) -> ag.Tensor:
+    def _embed(self, ids: np.ndarray, offset: int) -> ag.Tensor:
+        """Scaled embeddings plus the sinusoids of positions offset, offset + 1, ..."""
         emb = self.params["emb"][ids] * np.sqrt(self.cfg.d_model)
-        return emb + ag.Tensor(sinusoidal_positions(ids.shape[-1], self.cfg.d_model))
+        return emb + ag.Tensor(sinusoidal_positions(offset + ids.shape[-1], self.cfg.d_model)[offset:])
 
     # ----------------------------------------------------------------- encoder
 
@@ -216,7 +258,7 @@ class Model:
         if ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"set-up has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
-        x = self._embed(ids)
+        x = self._embed(ids, 0)
         for n in range(cfg.n_blocks):
             attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads, bias=bias,
                                         trace=trace, trace_tag="enc-self")
@@ -256,33 +298,38 @@ class Model:
 
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                       dropout_rng=None, trace: list | None = None, memory_bias=None,
-                      knowledge_bias=None, mix=None) -> ag.Tensor:
+                      knowledge_bias=None, mix=None, cache: DecoderCache | None = None) -> ag.Tensor:
         """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys.
 
         Fusion runs if and only if `knowledge` is given. Without it every gate is
         lam = 1 exactly and passes S through, so passing None is how a caller
         forces lambda to one.
+
+        With a `cache`, prefix_ids are the positions after the cached ones, whose
+        rows they extend, and the cache gains them; the call attends to the
+        cached keys and values instead of recomputing them.
         """
         ids = np.asarray(prefix_ids, dtype=np.intp)
-        if ids.shape[-1] > self.cfg.max_len:
-            raise LengthError(f"prefix has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
+        past = 0 if cache is None else cache.length
+        if past + ids.shape[-1] > self.cfg.max_len:
+            raise LengthError(f"prefix has {past + ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
-        causal = np.triu(np.full((ids.shape[-1],) * 2, MASK_OFF), k=1)
-        y = self._embed(ids)
+        causal = np.triu(np.full((ids.shape[-1], past + ids.shape[-1]), MASK_OFF), k=past + 1)
+        y = self._embed(ids, past)
         for n in range(cfg.n_blocks):
             attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, bias=causal,
-                                        trace=trace, trace_tag="dec-self")
+                                        trace=trace, trace_tag="dec-self", cache=cache)
             y = ag.layer_norm(y + _dropout(attn, cfg.dropout, dropout_rng),
                               p[f"dec.{n}.ln1.g"], p[f"dec.{n}.ln1.b"])
-            cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads,
-                                         bias=memory_bias, trace=trace, trace_tag="dec-cross")
+            cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads, bias=memory_bias,
+                                         trace=trace, trace_tag="dec-cross", cache=cache)
             s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
             y = s_states
             if knowledge is not None:
                 fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
                                                   cfg.n_heads, bias=knowledge_bias,
-                                                  trace=trace, trace_tag="fusion")
+                                                  trace=trace, trace_tag="fusion", cache=cache)
                 y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"], mix)
             ff = feed_forward(y, p, f"dec.{n}.ff")
             y = ag.layer_norm(y + _dropout(ff, cfg.dropout, dropout_rng),
@@ -292,15 +339,33 @@ class Model:
     def logits(self, states: ag.Tensor) -> ag.Tensor:
         return states @ ag.swapaxes(self.params["out.w"], 0, 1)
 
-    def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None) -> np.ndarray:
-        """Next-token distribution (sums to 1) after a prefix (t,), or one row per prefix of (k, t)."""
+    def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
+                    cache: DecoderCache | None = None) -> np.ndarray:
+        """Next-token distribution (sums to 1) after a prefix (t,), or one row per prefix of (k, t).
+
+        A `cache` serves one memory and knowledge across calls. When every prefix's
+        parent (the prefix less its last token) was a prefix of the last call, each
+        row runs its new token only; otherwise every row runs its whole prefix from
+        an emptied cache.
+        """
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if ids.shape[-1] == 0 or np.any(ids[..., 0] != self.tokenizer.bos_id):
             raise ValueError("prefix must begin with BOS")
-        states = self.decode_states(ids, memory, knowledge)
-        # a (1, d) row per prefix gives each product the 1-D call's shape, so rows match it bit for bit
-        dist = ag.softmax(self.logits(states[..., -1:, :]), axis=-1)
-        return dist.data[..., 0, :]
+        if cache is None:
+            states = self.decode_states(ids, memory, knowledge)
+        else:
+            rows = ids.reshape(-1, ids.shape[-1])
+            prefixes = [tuple(r) for r in rows.tolist()]
+            parents = [cache.rows.get(q[:-1]) for q in prefixes]
+            if None in parents:
+                cache.past.clear()
+            else:
+                cache.past = {name: (k[parents], v[parents]) for name, (k, v) in cache.past.items()}
+                rows = rows[:, -1:]
+            states = self.decode_states(rows, memory, knowledge, cache=cache)
+            states = states.reshape(ids.shape[:-1] + states.shape[-2:])
+            cache.rows = {q: i for i, q in enumerate(prefixes)}
+        return ag.softmax(self.logits(states[..., -1, :]), axis=-1).data
 
     # -------------------------------------------------------------------- loss
 

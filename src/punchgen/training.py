@@ -139,12 +139,11 @@ def _restore(params: dict[str, ag.Tensor], snap: dict[str, np.ndarray]) -> None:
 
 def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
                tcfg: TrainConfig, rng: np.random.Generator,
-               log_fn=None, opt: Adam | None = None) -> TrainResult:
+               log_fn=None) -> TrainResult:
     """Step loop with periodic validation and early stopping (best weights win)."""
     if not train_ex:
         raise ValueError("no training example is left after tokenization")
-    opt = opt or Adam(tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.eps,
-                      clip_norm=tcfg.clip_norm)
+    opt = Adam(tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.eps, clip_norm=tcfg.clip_norm)
     log = log_fn or (lambda event: None)
     best_val = math.inf
     best_snap = _snapshot(model.params)
@@ -156,7 +155,7 @@ def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
         loss, grad_norm = train_step(model, [train_ex[i] for i in idx], opt, rng)
         event = {"step": step, "split": "train", "loss": loss, "ppl": math.exp(min(loss, 50)),
                  "grad_norm": grad_norm}
-        if opt.clip_norm is not None and grad_norm > opt.clip_norm:
+        if grad_norm > tcfg.clip_norm:
             event["clipped"] = True
         history.append(event)
         log(event)

@@ -47,6 +47,16 @@ class TestUnaryOps:
     def test_sigmoid(self):
         check_unary(ag.sigmoid)
 
+    def test_sigmoid_matches_split_formula(self):
+        """Bit for bit the formula that splits on the sign: 1/(1+exp(-x)) for x >= 0, else e^x/(1+e^x)."""
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 3.5, -3.5, 1e-300, -1e-300])
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(ag.sigmoid(ag.Tensor(x)).data, want)
+
     def test_relu(self):
         check_unary(ag.relu, seed=3)
 
@@ -102,18 +112,38 @@ class TestBinaryOps:
 
     @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 5)), ((3, 4), (4,)), ((4,), (4, 5)), ((4,), (4,)),
                                        ((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
-                                       ((2, 3, 4), (4,))])
+                                       ((2, 3, 4), (4,)), ((2, 3, 4, 5), (5, 6))])
     def test_matmul(self, sa, sb):
         rng = np.random.default_rng(3)
         da, db = rng.normal(size=sa), rng.normal(size=sb)
         a, b = ag.Tensor(da, requires_grad=True), ag.Tensor(db, requires_grad=True)
         out = a @ b
+        np.testing.assert_allclose(out.data, np.matmul(da, db), rtol=0, atol=1e-12)
         w = rng.normal(size=out.shape)
         (out * ag.Tensor(w)).sum().backward()
 
         def f():
             with ag.no_grad():
                 return float(((da @ db) * w).sum())
+
+        np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-7)
+
+
+    def test_matmul_strided_left_operand(self):
+        """A 2-D weight times a left operand that swapaxes left non-contiguous."""
+        rng = np.random.default_rng(4)
+        da, db = rng.normal(size=(4, 3, 5)), rng.normal(size=(5, 6))
+        a, b = ag.Tensor(da, requires_grad=True), ag.Tensor(db, requires_grad=True)
+        left = ag.swapaxes(a, 0, 1)
+        assert not left.data.flags.c_contiguous
+        out = left @ b
+        np.testing.assert_allclose(out.data, np.matmul(np.swapaxes(da, 0, 1), db), rtol=0, atol=1e-12)
+        w = rng.normal(size=out.shape)
+        (out * ag.Tensor(w)).sum().backward()
+
+        def f():
+            return float((np.matmul(np.swapaxes(da, 0, 1), db) * w).sum())
 
         np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-7)

@@ -14,7 +14,7 @@ from punchgen.decoding import (
     generate_file,
     model_step_fn,
 )
-from punchgen.model import Model, init_params
+from punchgen.model import DecoderCache, Model, init_params
 from punchgen.selftest import desk_model
 from punchgen.tokenizer import train_tokenizer
 
@@ -182,14 +182,99 @@ class TestModelBeam:
     def test_decode_record_matches_per_hypothesis_reference(self):
         """The batched search picks what a one-prefix-at-a-time search over teacher-forced states picks."""
         model = desk_model(seed=2, fused=True)
-        records = [JokeRecord("the dog chewed the remote,", "x.", [("dog", "chews", "remote")]),
-                   JokeRecord("why did the cat sit on the mat,", "y.", []),
-                   JokeRecord("a man walked into a bar,", "z.",
-                              [("man", "walks into", "bar"), ("bar", "serves", "beer")])]
-        for rec in records:
+        for rec in REFERENCE_RECORDS:
             for beam in (1, 3, 5):
                 got = decode_record(model, rec, beam=beam, max_len=12)
                 assert got == reference_decode(model, rec, beam, max_len=12)
+
+
+REFERENCE_RECORDS = [JokeRecord("the dog chewed the remote,", "x.", [("dog", "chews", "remote")]),
+                     JokeRecord("why did the cat sit on the mat,", "y.", []),
+                     JokeRecord("a man walked into a bar,", "z.",
+                                [("man", "walks into", "bar"), ("bar", "serves", "beer")])]
+
+
+def encode_record(model, rec):
+    with ag.no_grad():
+        memory = model.encode_setup(model.tokenizer.encode(rec.setup))
+        return memory, model.encode_triples(rec.triples) if rec.triples else None
+
+
+def uncached_step_fn(model, memory, knowledge):
+    """model_step_fn without the decoder cache: every call runs every prefix in full."""
+    def step(prefixes):
+        with ag.no_grad():
+            dist = model.decode_step(prefixes, memory, knowledge)
+        with np.errstate(divide="ignore"):
+            return np.log(dist)
+
+    return step
+
+
+class TestDecoderCache:
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return desk_model(seed=2, fused=True)
+
+    def test_cached_search_matches_uncached(self, desk):
+        tok = desk.tokenizer
+        for rec in REFERENCE_RECORDS:
+            memory, knowledge = encode_record(desk, rec)
+            for beam in (1, 3, 5):
+                got = beam_search(model_step_fn(desk, memory, knowledge), tok.bos_id, tok.eos_id,
+                                  beam=beam, max_len=12)
+                want = beam_search(uncached_step_fn(desk, memory, knowledge), tok.bos_id, tok.eos_id,
+                                   beam=beam, max_len=12)
+                assert got.tokens == want.tokens
+
+    def test_cached_steps_match_uncached_distributions(self, desk, monkeypatch):
+        """After the first step a cached call decodes one position per row, and agrees to 1e-12."""
+        tok = desk.tokenizer
+        widths = []
+        decode_states = desk.decode_states
+
+        def counting_states(ids, *args, **kwargs):
+            widths.append(np.shape(ids)[-1])
+            return decode_states(ids, *args, **kwargs)
+
+        monkeypatch.setattr(desk, "decode_states", counting_states)
+        for rec in REFERENCE_RECORDS:
+            memory, knowledge = encode_record(desk, rec)
+            cache = DecoderCache()
+
+            def step(prefixes):
+                with ag.no_grad():
+                    got = desk.decode_step(prefixes, memory, knowledge, cache)
+                    want = desk.decode_step(prefixes, memory, knowledge)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                return np.log(got)
+
+            widths.clear()
+            beam_search(step, tok.bos_id, tok.eos_id, beam=5, max_len=12)
+            steps = len(widths) // 2
+            assert steps > 1
+            # cached and uncached calls alternate; the cached ones run one position after the first
+            assert widths[0::2] == [1] * steps
+            assert widths[1::2] == list(range(1, steps + 1))
+
+    def test_uncached_parents_fall_back_to_a_full_pass(self, desk):
+        tok = desk.tokenizer
+        memory, knowledge = encode_record(desk, REFERENCE_RECORDS[2])
+        cache = DecoderCache()
+        bos = tok.bos_id
+        for prefixes, cached_length in (
+            ([[bos, 5, 6], [bos, 7, 8]], 3),              # an empty cache
+            ([[bos, 5, 6, 9], [bos, 9, 9, 9]], 4),        # one parent cached, one not
+            ([[bos, 9, 9, 9, 4], [bos, 5, 6, 9, 4]], 5),  # both parents cached, rows swapped
+            ([[bos, 5, 6]], 3),                           # a shorter prefix
+            ([bos, 5, 6, 10], 4),                         # one prefix (t,) extends the last row
+        ):
+            with ag.no_grad():
+                got = desk.decode_step(prefixes, memory, knowledge, cache)
+                want = desk.decode_step(prefixes, memory, knowledge)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert cache.length == cached_length
 
 
 class TestGenerateFile:

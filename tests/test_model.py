@@ -212,6 +212,7 @@ class TestDecode:
 
     @pytest.mark.parametrize("fused_model", [False, True])
     def test_batched_prefixes_match_one_prefix_calls(self, plain, fused, tok, fused_model):
+        # not bit for bit: BLAS may round a row differently when a product has more rows
         model = fused if fused_model else plain
         memory = model.encode_setup(tok.encode("the cat sat"))
         knowledge = model.encode_triples(TRIPLES) if fused_model else None
@@ -222,7 +223,27 @@ class TestDecode:
             batched = model.decode_step(prefixes, memory, knowledge)
             assert batched.shape == (4, tok.vocab_size)
             for prefix, dist in zip(prefixes, batched):
-                assert np.array_equal(dist, model.decode_step(prefix, memory, knowledge))
+                np.testing.assert_allclose(dist, model.decode_step(prefix, memory, knowledge),
+                                           rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fused_model", [False, True])
+    def test_batched_rows_do_not_leak(self, plain, fused, tok, fused_model):
+        """In a batched call of fixed shape, changing one prefix leaves every other row bit for bit."""
+        model = fused if fused_model else plain
+        memory = model.encode_setup(tok.encode("the cat sat"))
+        knowledge = model.encode_triples(TRIPLES) if fused_model else None
+        rng = np.random.default_rng(12)
+        for t in (2, 3, 6):
+            prefixes = np.column_stack([np.full(4, tok.bos_id),
+                                        rng.integers(4, tok.vocab_size, size=(4, t - 1))])
+            base = model.decode_step(prefixes, memory, knowledge)
+            for row in range(4):
+                altered = prefixes.copy()
+                altered[row, -1] = 4 + (altered[row, -1] - 3) % (tok.vocab_size - 4)
+                out = model.decode_step(altered, memory, knowledge)
+                others = np.arange(4) != row
+                np.testing.assert_array_equal(out[others], base[others])
+                assert not np.array_equal(out[row], base[row])
 
     def test_causality(self, fused, tok):
         memory = fused.encode_setup(tok.encode("the cat sat"))
