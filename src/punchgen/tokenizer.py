@@ -10,7 +10,9 @@ to themselves.
 
 from __future__ import annotations
 
+import heapq
 import re
+from collections import defaultdict
 from pathlib import Path
 
 PAD, BOS, EOS, REV = "<pad>", "<s>", "</s>", "<r>"
@@ -31,6 +33,7 @@ class Tokenizer:
         self.merges = list(merges)
         self.token_to_id = {t: i for i, t in enumerate(self.vocab)}
         self.merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        self._word_ids: dict[str, tuple[int, ...]] = {}
         self._special_re = re.compile(
             "(" + "|".join(re.escape(s) for s in sorted(SPECIALS, key=len, reverse=True)) + ")"
         )
@@ -65,7 +68,7 @@ class Tokenizer:
     def _word_symbols(self, word: str) -> list[str]:
         symbols: list[str] = []
         for ch in word:
-            if ch in self.token_to_id and not _BYTE_RE.match(ch):
+            if ch in self.token_to_id:
                 symbols.append(ch)
             else:
                 for b in ch.encode("utf-8"):
@@ -100,9 +103,15 @@ class Tokenizer:
                 ids.append(self.token_to_id[segment])
                 continue
             for word in segment.split():
-                for sym in self._merge_word(self._word_symbols(word)):
-                    ids.append(self.token_to_id[sym])
+                word_ids = self._word_ids.get(word)
+                if word_ids is None:
+                    word_ids = self._word_ids[word] = self._encode_word(word)
+                ids.extend(word_ids)
         return ids
+
+    def _encode_word(self, word: str) -> tuple[int, ...]:
+        """The ids of one whitespace-free word; `encode` caches them per word."""
+        return tuple(self.token_to_id[sym] for sym in self._merge_word(self._word_symbols(word)))
 
     # ------------------------------------------------------------------ decode
 
@@ -118,8 +127,6 @@ class Tokenizer:
                 continue
             if tok.endswith(EOW):
                 buf.extend(tok[: -len(EOW)].encode("utf-8"))
-                buf.extend(b" ")
-            elif tok == EOW:
                 buf.extend(b" ")
             else:
                 buf.extend(tok.encode("utf-8"))
@@ -138,22 +145,14 @@ class Tokenizer:
     def loads(cls, text: str, _path="<string>") -> "Tokenizer":
         """Parse the text `dumps` writes; errors name `_path`."""
         lines = text.split("\n")
-        if not lines[0].startswith("#punchgen-bpe"):
+        if not lines[0].startswith("#punchgen-bpe") or lines[1:2] != ["#vocab"] or "#merges" not in lines[2:]:
             raise ValueError(f"{_path}: not a tokenizer file")
-        vocab: list[str] = []
-        merges: list[tuple[str, str]] = []
-        section = None
-        for line in lines[1:]:
-            if line == "#vocab":
-                section = "vocab"
-            elif line == "#merges":
-                section = "merges"
-            elif line:
-                if section == "vocab":
-                    vocab.append(line)
-                elif section == "merges":
-                    a, b = line.split(" ")
-                    merges.append((a, b))
+        # Sections are found by position, since "#vocab" and "#merges" can be
+        # tokens too. A merge line always holds a space, so the separator is
+        # the last "#merges" line.
+        sep = len(lines) - 1 - lines[::-1].index("#merges")
+        vocab = [line for line in lines[2:sep] if line]
+        merges = [(a, b) for a, b in (line.split(" ") for line in lines[sep + 1:] if line)]
         return cls(vocab, merges)
 
     def dumps(self) -> str:
@@ -164,13 +163,32 @@ class Tokenizer:
         return "\n".join(out) + "\n"
 
 
+class _LargestFirst:
+    """Heap key that puts the lexicographically largest pair first."""
+
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: tuple[str, str]):
+        self.pair = pair
+
+    def __lt__(self, other: "_LargestFirst") -> bool:
+        return self.pair > other.pair
+
+
 def train_tokenizer(texts: list[str], vocab_size: int = 2000) -> Tokenizer:
     """Learn BPE merges from raw text until the vocabulary reaches vocab_size.
 
     The base vocabulary is the special tokens, the 256 byte-fallback
     tokens, the end-of-word symbol and every character seen in the
-    texts; remaining budget goes to merges. Ties between equally
-    frequent pairs break lexicographically so training is deterministic.
+    texts; remaining budget goes to merges. Each merge joins the most
+    frequent adjacent pair; among equally frequent pairs the
+    lexicographically largest wins, so training is deterministic. A
+    merge must mint a new token string. Training stops early once the
+    best remaining pair occurs fewer than twice.
+
+    Pair counts are kept incrementally (Sennrich et al. 2016,
+    arXiv:1508.07909): a merge rewrites only the word types that hold its
+    pair, and the best pair comes from a max-heap with lazy deletion.
     """
     word_freq: dict[str, int] = {}
     for text in texts:
@@ -181,40 +199,76 @@ def train_tokenizer(texts: list[str], vocab_size: int = 2000) -> Tokenizer:
 
     chars = sorted({ch for w in word_freq for ch in w})
     vocab = list(SPECIALS) + list(_BYTE_TOKENS) + [EOW] + chars
-    base = len(vocab)
-
-    seqs = {w: tuple(list(w) + [EOW]) for w in word_freq}
-    merges: list[tuple[str, str]] = []
     vocab_set = set(vocab)
-    while len(vocab) < max(vocab_size, base):
-        pair_freq: dict[tuple[str, str], int] = {}
-        for w, seq in seqs.items():
-            f = word_freq[w]
-            for i in range(len(seq) - 1):
-                pair = (seq[i], seq[i + 1])
-                pair_freq[pair] = pair_freq.get(pair, 0) + f
-        # a merge must mint a new token string, else decoding turns ambiguous
-        pair_freq = {p: f for p, f in pair_freq.items() if p[0] + p[1] not in vocab_set}
-        if not pair_freq:
-            break
-        best = max(pair_freq, key=lambda p: (pair_freq[p], p))
-        if pair_freq[best] < 2:
+
+    seqs = [list(w) + [EOW] for w in word_freq]
+    freqs = list(word_freq.values())
+    # pair -> summed frequency of its occurrences; a run "a a a" holds ("a", "a") twice
+    counts: dict[tuple[str, str], int] = defaultdict(int)
+    # pair -> the word types that hold it (or once held it)
+    where: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for wi, (seq, f) in enumerate(zip(seqs, freqs)):
+        for pair in zip(seq, seq[1:]):
+            counts[pair] += f
+            where[pair].add(wi)
+    # A pair's count rises only when the pair first appears: at the start,
+    # or in the merge that mints one of its symbols. It is pushed then and
+    # only falls afterwards, so every live pair has an entry of at least its
+    # count, and a stale entry is re-pushed with the current count when it
+    # surfaces.
+    heap = [(-c, _LargestFirst(pair)) for pair, c in counts.items()]
+    heapq.heapify(heap)
+
+    merges: list[tuple[str, str]] = []
+    while len(vocab) < vocab_size and heap:
+        neg, key = heapq.heappop(heap)
+        a, b = best = key.pair
+        merged = a + b
+        # A merge must mint a new token string, else decoding turns
+        # ambiguous. The vocabulary only grows, so the pair is dropped for good.
+        if merged in vocab_set:
+            continue
+        freq = counts.get(best, 0)
+        if freq != -neg:        # stale: the count fell since this entry was pushed
+            if freq:
+                heapq.heappush(heap, (-freq, key))
+            continue
+        if freq < 2:
             break
         merges.append(best)
-        merged_sym = best[0] + best[1]
-        vocab.append(merged_sym)
-        vocab_set.add(merged_sym)
-        new_seqs = {}
-        for w, seq in seqs.items():
-            out = []
+        vocab.append(merged)
+        vocab_set.add(merged)
+
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for wi in where.pop(best):
+            seq = seqs[wi]
+            n = len(seq)
+            out: list[str] = []
             i = 0
-            while i < len(seq):
-                if i < len(seq) - 1 and seq[i] == best[0] and seq[i + 1] == best[1]:
-                    out.append(merged_sym)
+            while i < n:
+                if seq[i] == a and i + 1 < n and seq[i + 1] == b:
+                    out.append(merged)
                     i += 2
                 else:
                     out.append(seq[i])
                     i += 1
-            new_seqs[w] = tuple(out)
-        seqs = new_seqs
+            if len(out) == n:
+                continue
+            f = freqs[wi]
+            for pair in zip(seq, seq[1:]):
+                delta[pair] -= f
+            for pair in zip(out, out[1:]):
+                delta[pair] += f
+                if merged in pair:
+                    where[pair].add(wi)
+            seqs[wi] = out
+        for pair, d in delta.items():
+            if d:
+                c = counts[pair] + d
+                if c:
+                    counts[pair] = c
+                    if d > 0:
+                        heapq.heappush(heap, (-c, _LargestFirst(pair)))
+                else:
+                    del counts[pair]
     return Tokenizer(vocab, merges)
