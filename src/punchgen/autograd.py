@@ -331,22 +331,46 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
+def _is_mask(i) -> bool:
+    return isinstance(i, np.ndarray) and i.dtype == bool
+
+
 def take_slice(a, idx) -> Tensor:
-    """Basic and integer-array indexing; the gradient of ints and slices is assigned, else scatter-added."""
+    """Basic, boolean-mask and integer-array indexing.
+
+    The gradient of ints, slices and masks is assigned, as they cannot repeat an element;
+    an integer array's is scatter-added.
+    """
     a = _wrap(a)
     data = a.data[idx]
-    basic = all(isinstance(i, (int, slice)) for i in (idx if isinstance(idx, tuple) else (idx,)))
+    basic = all(isinstance(i, (int, slice)) or _is_mask(i) for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(grad):
         if a.requires_grad:
             g = np.zeros_like(a.data)
-            if basic:  # cannot repeat an element
+            if basic:
                 g[idx] = grad
             else:
                 np.add.at(g, idx, grad)
             a._accumulate(g)
 
     return _make(data, (a,), backward)
+
+
+def scatter_rows(x, real: np.ndarray) -> Tensor:
+    """Packed rows x (n, ...) laid out at the n True entries of the mask `real` (B, t), zeros elsewhere.
+
+    The output is (B, t, ...); `out[real]` gives x back, and the gradient is `grad[real]`.
+    """
+    x = _wrap(x)
+    data = np.zeros(real.shape + x.data.shape[1:])
+    data[real] = x.data
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad[real])
+
+    return _make(data, (x,), backward)
 
 
 # -------------------------------------------------------------------- softmax family

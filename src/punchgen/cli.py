@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 CONFIG_ENV = "PUNCHGEN_CONFIG"
@@ -25,6 +26,22 @@ CONFIG_ENV = "PUNCHGEN_CONFIG"
 
 def log_event(**fields) -> None:
     print(json.dumps(fields), file=sys.stderr)
+
+
+def _train_logger():
+    """A training log_fn that prints each event; a train event gains tokens_per_s, its
+    tokens over the time since the previous event."""
+    last = time.perf_counter()
+
+    def log(event: dict) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if event["split"] == "train":
+            event = {**event, "tokens_per_s": event["tokens"] / (now - last)}
+        last = now
+        log_event(**event)
+
+    return log
 
 
 def say(message: str) -> None:
@@ -176,8 +193,7 @@ def cmd_train_pretrain(args) -> int:
         tokenizer = train_tokenizer(texts, vocab_size=cfg.model.vocab_size)
         tokenizer.save(tok_path)
         log_event(event="tokenizer.trained", vocab_size=tokenizer.vocab_size, path=str(tok_path))
-    result = training.pretrain(split, cfg.model, cfg.train, tokenizer,
-                               log_fn=lambda event: log_event(**event))
+    result = training.pretrain(split, cfg.model, cfg.train, tokenizer, log_fn=_train_logger())
     ckpt = out / "pretrain.best"
     save_checkpoint(ckpt, result.model, step=result.steps_run)
     _write_meta(ckpt, "train pretrain", cfg, seed=cfg.train.seed)
@@ -197,7 +213,7 @@ def cmd_train_finetune(args) -> int:
         raise RuntimeError(f"{args.init} is already a fused checkpoint")
     cfg.model = model.cfg  # the checkpoint fixes the architecture; the sidecar records it
     fused = training.transplant(model, seed=cfg.train.seed)
-    result = training.finetune(fused, split, cfg.train, log_fn=lambda event: log_event(**event))
+    result = training.finetune(fused, split, cfg.train, log_fn=_train_logger())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "finetune.best"

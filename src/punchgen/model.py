@@ -14,6 +14,12 @@ With lam forced to 1 (or when a record carries no knowledge) the fused
 block reduces exactly to a plain transformer block, which is what makes
 the two-stage pretrain-then-transplant scheme exact.
 
+Training runs a batch as one packed forward (Model.loss_sum): every layer
+but attention runs on the (n_real, d) rows of the real tokens, so padding
+costs nothing there; attention lays the rows out padded, (B, heads, t, s),
+with an additive bias hiding padded keys (cf. ByteTransformer, Zhai et al.
+2023, arXiv:2210.03052). Decoding calls the same layers unpacked.
+
 Parameters are a flat name -> Tensor dict. Knowledge-side names
 (kinit.*, gat.*, dec.*.fuse.*, dec.*.gate.*) form the knowledge_only
 partition; everything else is pretrainable and transplantable from a
@@ -133,20 +139,28 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
 # ------------------------------------------------------------------- sub-layers
 
 
-def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None) -> ag.Tensor:
+def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None,
+             real: np.ndarray | None = None) -> ag.Tensor:
+    """Inverted dropout; for packed rows t of the mask `real`, the mask is drawn padded, then packed."""
     if rng is None or p <= 0.0:
         return t
-    mask = (rng.random(t.shape) >= p) / (1.0 - p)
-    return t * ag.Tensor(mask)
+    mask = (rng.random(t.shape if real is None else real.shape + t.shape[-1:]) >= p) / (1.0 - p)
+    return t * ag.Tensor(mask if real is None else mask[real])
 
 
-def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray]:
-    """Int rows filled at the end to one (B, s) array, and the (B, 1, 1, s) bias that hides the fill."""
+def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int rows filled at the end to one (B, s) array, the (B, 1, 1, s) bias that hides the fill,
+    and the (B, s) mask of the real entries."""
     lengths = np.array([len(r) for r in rows])
     real = np.arange(lengths.max()) < lengths[:, None]
     out = np.full(real.shape, fill, dtype=np.intp)
     out[real] = np.concatenate(rows)
-    return out, np.where(real, 0.0, MASK_OFF)[:, None, None, :]
+    return out, np.where(real, 0.0, MASK_OFF)[:, None, None, :], real
+
+
+def _padded(x: ag.Tensor, real: np.ndarray | None) -> ag.Tensor:
+    """Packed rows x of the mask `real` laid out padded; x itself without a mask."""
+    return x if real is None else ag.scatter_rows(x, real)
 
 
 class DecoderCache:
@@ -187,28 +201,34 @@ class DecoderCache:
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
                          n_heads: int, bias: np.ndarray | None = None,
                          trace: list | None = None, trace_tag: str = "",
-                         cache: DecoderCache | None = None) -> ag.Tensor:
+                         cache: DecoderCache | None = None, real: np.ndarray | None = None,
+                         kv_real: np.ndarray | None = None) -> ag.Tensor:
     """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast.
 
     `bias` adds to the (..., heads, t, s) logits; MASK_OFF hides a key. With a `cache`, the
-    keys and values come from `DecoderCache.keys_values`.
+    keys and values come from `DecoderCache.keys_values`. With the (B, t) mask `real`, q_in
+    and the output are the packed (n, d) rows of the real queries, and likewise kv_in with
+    `kv_real`: the projections run on the packed rows, and only the logits and their
+    weighted sums are padded.
     """
-    t, d = q_in.shape[-2:]
-    q = split_heads(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], n_heads)
+    d = q_in.shape[-1]
+    q = split_heads(_padded(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], real), n_heads)
 
     def project():
-        return (split_heads(kv_in @ p[f"{prefix}.wk"], n_heads),
-                split_heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], n_heads))
+        return (split_heads(_padded(kv_in @ p[f"{prefix}.wk"], kv_real), n_heads),
+                split_heads(_padded(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], kv_real), n_heads))
 
     k, v = project() if cache is None else cache.keys_values(prefix, project)
-    s = k.shape[-2]
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
     if bias is not None:
         logits = logits + ag.Tensor(bias)
     alpha = ag.softmax(logits, axis=-1)
     if trace is not None:
-        trace.extend((trace_tag, a) for a in alpha.data.reshape(-1, t, s))
-    return merge_heads(alpha @ v) @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+        trace.extend((trace_tag, a) for a in alpha.data.reshape(-1, *alpha.shape[-2:]))
+    context = merge_heads(alpha @ v)
+    if real is not None:
+        context = context[real]
+    return context @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
 def feed_forward(x: ag.Tensor, p: dict, prefix: str) -> ag.Tensor:
@@ -242,30 +262,37 @@ class Model:
 
     # -------------------------------------------------------------- embeddings
 
-    def _embed(self, ids: np.ndarray, offset: int) -> ag.Tensor:
-        """Scaled embeddings plus the sinusoids of positions offset, offset + 1, ..."""
-        emb = self.params["emb"][ids] * np.sqrt(self.cfg.d_model)
-        return emb + ag.Tensor(sinusoidal_positions(offset + ids.shape[-1], self.cfg.d_model)[offset:])
+    def _embed(self, ids: np.ndarray, offset: int, real: np.ndarray | None = None) -> ag.Tensor:
+        """Scaled embeddings plus the sinusoids of positions offset, offset + 1, ...;
+        with the mask `real`, the packed rows of its real ids."""
+        positions = sinusoidal_positions(offset + ids.shape[-1], self.cfg.d_model)[offset:]
+        if real is not None:
+            ids, positions = ids[real], positions[np.nonzero(real)[-1]]
+        return self.params["emb"][ids] * np.sqrt(self.cfg.d_model) + ag.Tensor(positions)
 
     # ----------------------------------------------------------------- encoder
 
     def encode_setup(self, ids, dropout_rng=None, trace: list | None = None,
-                     bias: np.ndarray | None = None) -> ag.Tensor:
-        """Encoder states (..., s, d) of set-ups (..., s); `bias` (..., 1, 1, s) hides padded keys."""
+                     bias: np.ndarray | None = None, real: np.ndarray | None = None) -> ag.Tensor:
+        """Encoder states (..., s, d) of set-ups (..., s); `bias` (..., 1, 1, s) hides padded keys.
+
+        With the (B, s) mask `real` of the real tokens, every layer but the attention logits
+        runs on their packed rows, and the states come back packed, (n_real, d).
+        """
         ids = np.asarray(ids, dtype=np.intp)
         if ids.shape[-1] == 0:
             raise ValueError("set-up encodes to no tokens")
         if ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"set-up has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
-        x = self._embed(ids, 0)
+        x = self._embed(ids, 0, real)
         for n in range(cfg.n_blocks):
             attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads, bias=bias,
-                                        trace=trace, trace_tag="enc-self")
-            x = ag.layer_norm(x + _dropout(attn, cfg.dropout, dropout_rng),
+                                        trace=trace, trace_tag="enc-self", real=real, kv_real=real)
+            x = ag.layer_norm(x + _dropout(attn, cfg.dropout, dropout_rng, real),
                               p[f"enc.{n}.ln1.g"], p[f"enc.{n}.ln1.b"])
             ff = feed_forward(x, p, f"enc.{n}.ff")
-            x = ag.layer_norm(x + _dropout(ff, cfg.dropout, dropout_rng),
+            x = ag.layer_norm(x + _dropout(ff, cfg.dropout, dropout_rng, real),
                               p[f"enc.{n}.ln2.g"], p[f"enc.{n}.ln2.b"])
         return x
 
@@ -289,7 +316,7 @@ class Model:
             return None, None, None
         labels = [node.label for g in graphs for node in g.nodes]
         feats = init_node_features(labels, self.params, self.tokenizer, self.cfg)
-        rows, bias = _pad(np.split(np.arange(len(labels)), np.cumsum(sizes)[:-1]), 0)
+        rows, bias, _ = _pad(np.split(np.arange(len(labels)), np.cumsum(sizes)[:-1]), 0)
         mask = np.stack([in_neighbor_mask(rows.shape[1], g.edges) for g in graphs])
         nodes = encode_knowledge(feats[rows], mask, self.params, self.cfg)
         return nodes, bias, (np.array(sizes) > 0)[:, None, None].astype(np.float64)
@@ -298,8 +325,12 @@ class Model:
 
     def decode_states(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                       dropout_rng=None, trace: list | None = None, memory_bias=None,
-                      knowledge_bias=None, mix=None, cache: DecoderCache | None = None) -> ag.Tensor:
+                      knowledge_bias=None, mix=None, cache: DecoderCache | None = None,
+                      real: np.ndarray | None = None, memory_real: np.ndarray | None = None) -> ag.Tensor:
         """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys.
+
+        With the (B, t) mask `real`, the states are the packed (n_real, d) rows of its real
+        positions, computed as in `encode_setup`; with `memory_real`, `memory` is packed too.
 
         Fusion runs if and only if `knowledge` is given. Without it every gate is
         lam = 1 exactly and passes S through, so passing None is how a caller
@@ -315,24 +346,28 @@ class Model:
             raise LengthError(f"prefix has {past + ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
         causal = np.triu(np.full((ids.shape[-1], past + ids.shape[-1]), MASK_OFF), k=past + 1)
-        y = self._embed(ids, past)
+        if real is not None and mix is not None:
+            mix = np.broadcast_to(mix, real.shape + mix.shape[-1:])[real]
+        y = self._embed(ids, past, real)
         for n in range(cfg.n_blocks):
             attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, bias=causal,
-                                        trace=trace, trace_tag="dec-self", cache=cache)
-            y = ag.layer_norm(y + _dropout(attn, cfg.dropout, dropout_rng),
+                                        trace=trace, trace_tag="dec-self", cache=cache,
+                                        real=real, kv_real=real)
+            y = ag.layer_norm(y + _dropout(attn, cfg.dropout, dropout_rng, real),
                               p[f"dec.{n}.ln1.g"], p[f"dec.{n}.ln1.b"])
             cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads, bias=memory_bias,
-                                         trace=trace, trace_tag="dec-cross", cache=cache)
-            s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng),
+                                         trace=trace, trace_tag="dec-cross", cache=cache,
+                                         real=real, kv_real=memory_real)
+            s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng, real),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
             y = s_states
             if knowledge is not None:
                 fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
                                                   cfg.n_heads, bias=knowledge_bias,
-                                                  trace=trace, trace_tag="fusion", cache=cache)
+                                                  trace=trace, trace_tag="fusion", cache=cache, real=real)
                 y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"], mix)
             ff = feed_forward(y, p, f"dec.{n}.ff")
-            y = ag.layer_norm(y + _dropout(ff, cfg.dropout, dropout_rng),
+            y = ag.layer_norm(y + _dropout(ff, cfg.dropout, dropout_rng, real),
                               p[f"dec.{n}.ln3.g"], p[f"dec.{n}.ln3.b"])
         return y
 
@@ -370,24 +405,28 @@ class Model:
     # -------------------------------------------------------------------- loss
 
     def loss_sum(self, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:
-        """Teacher-forced summed cross-entropy and token count of a batch, in one padded forward.
+        """Teacher-forced summed cross-entropy and token count of a batch, in one packed forward.
 
-        Each tgt runs BOS ... EOS. Pads trail: attention masks padded set-up and node keys, the loss
-        skips PAD targets, and an example without triples keeps lam = 1 exactly, as when alone.
+        Each tgt runs BOS ... EOS. Pads trail and no layer computes them: every layer but the
+        attention logits runs on the packed rows of the real set-up tokens and of the decoder
+        positions whose target is within its tgt; attention masks padded set-up and node keys.
+        The loss skips PAD targets, and an example without triples keeps lam = 1 exactly, as
+        when alone.
         """
         pad = self.tokenizer.pad_id
-        src, memory_bias = _pad([ex.src for ex in batch], pad)
-        tgt, _ = _pad([ex.tgt for ex in batch], pad)
-        memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
+        src, memory_bias, src_real = _pad([ex.src for ex in batch], pad)
+        tgt, _, tgt_real = _pad([ex.tgt for ex in batch], pad)
+        memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias, real=src_real)
         knowledge, knowledge_bias, mix = (self._encode_graphs([ex.triples for ex in batch]) if self.fused
                                           else (None,) * 3)
+        real = tgt_real[:, 1:]
         states = self.decode_states(tgt[:, :-1], memory, knowledge,
                                     dropout_rng=dropout_rng, memory_bias=memory_bias,
-                                    knowledge_bias=knowledge_bias, mix=mix)
-        targets = tgt[:, 1:]
-        rows = np.nonzero(targets != pad)
+                                    knowledge_bias=knowledge_bias, mix=mix, real=real, memory_real=src_real)
+        targets = tgt[:, 1:][real]
+        rows = targets != pad
         loss = ag.cross_entropy_sum(self.logits(states[rows]), targets[rows])
-        return loss, len(rows[0])
+        return loss, int(rows.sum())
 
     def sequence_loss(self, src_ids, tgt_ids, triples=(), dropout_rng=None,
                       force_lambda_one: bool = False) -> tuple[ag.Tensor, int]:

@@ -175,6 +175,11 @@ class _LargestFirst:
         return self.pair > other.pair
 
 
+def _fake_word_end(a: str, b: str) -> bool:
+    """Whether a + b ends in the spelling of EOW although b does not, as "b</" + "w>" does."""
+    return (a + b).endswith(EOW) and not b.endswith(EOW)
+
+
 def train_tokenizer(texts: list[str], vocab_size: int = 2000) -> Tokenizer:
     """Learn BPE merges from raw text until the vocabulary reaches vocab_size.
 
@@ -183,8 +188,9 @@ def train_tokenizer(texts: list[str], vocab_size: int = 2000) -> Tokenizer:
     texts; remaining budget goes to merges. Each merge joins the most
     frequent adjacent pair; among equally frequent pairs the
     lexicographically largest wins, so training is deterministic. A
-    merge must mint a new token string. Training stops early once the
-    best remaining pair occurs fewer than twice.
+    merge must mint a new token string, and may end in the spelling of
+    the end-of-word symbol only where its right part does. Training stops
+    early once the best remaining pair occurs fewer than twice.
 
     Pair counts are kept incrementally (Sennrich et al. 2016,
     arXiv:1508.07909): a merge rewrites only the word types that hold its
@@ -225,8 +231,10 @@ def train_tokenizer(texts: list[str], vocab_size: int = 2000) -> Tokenizer:
         a, b = best = key.pair
         merged = a + b
         # A merge must mint a new token string, else decoding turns
-        # ambiguous. The vocabulary only grows, so the pair is dropped for good.
-        if merged in vocab_set:
+        # ambiguous, and only a token that ends in the end-of-word symbol may
+        # end in its spelling, since decoding reads that as a word end. The
+        # vocabulary only grows, so the pair is dropped for good.
+        if merged in vocab_set or _fake_word_end(a, b):
             continue
         freq = counts.get(best, 0)
         if freq != -neg:        # stale: the count fell since this entry was pushed

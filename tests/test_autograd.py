@@ -188,6 +188,30 @@ class TestStructuredOps:
         expect[:2, 3] = w
         np.testing.assert_array_equal(xw.grad, expect)
 
+    REAL = np.array([[True, True, True, False], [True, True, False, False]])  # 5 real rows
+
+    def test_scatter_rows(self):
+        check_unary(ag.scatter_rows, shape=(5, 3), real=self.REAL)
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(5, 3))
+        out = ag.scatter_rows(ag.Tensor(x), self.REAL).data
+        assert out.shape == (2, 4, 3)
+        np.testing.assert_array_equal(out[self.REAL], x)
+        assert not out[~self.REAL].any()
+
+    def test_mask_slice(self):
+        check_unary(lambda x, real: x[real], shape=(2, 4, 3), real=self.REAL)
+
+    def test_mask_slice_gradient_equals_scatter_add(self):
+        """A mask's assigned gradient is the scatter-add of its row indices, bit for bit."""
+        rng = np.random.default_rng(11)
+        a = ag.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        w = rng.normal(size=(5, 3))
+        (a[self.REAL] * ag.Tensor(w)).sum().backward()
+        expect = np.zeros((2, 4, 3))
+        np.add.at(expect, np.nonzero(self.REAL), w)
+        np.testing.assert_array_equal(a.grad, expect)
+
     def test_cross_entropy_matches_log_softmax(self):
         rng = np.random.default_rng(8)
         dl = rng.normal(size=(6, 9))

@@ -227,6 +227,26 @@ class TestSidecarRecordsCheckpointModel:
         assert meta["config"]["model"]["d_model"] == 8
 
 
+class TestTrainEvents:
+    def test_train_events_carry_tokens_and_rate(self, tmp_path, capsys):
+        from punchgen.corpus import JokeRecord, write_jsonl
+
+        data = tmp_path / "data"
+        data.mkdir()
+        records = [JokeRecord("the cat sat.", "on the mat"), JokeRecord("a dog ran.", "into a bar")]
+        for name in ("train", "valid"):
+            write_jsonl(records, data / f"{name}.jsonl")
+        assert run_cli("train", "pretrain", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                       "--preset", "desk", "--max-steps", "2", "--eval-every", "2", "--batch-size", "2") == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        train = [e for e in events if e.get("split") == "train"]
+        assert [e["step"] for e in train] == [1, 2]
+        for e in train:
+            assert isinstance(e["tokens"], int) and e["tokens"] > 0
+            assert e["tokens_per_s"] > 0
+        assert all("tokens_per_s" not in e for e in events if e.get("split") == "valid")
+
+
 class TestFlagChecks:
     """Bad values exit 1 before any input is read or output written."""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ from punchgen.model import (
     Example,
     LengthError,
     Model,
+    _pad,
     init_params,
     is_knowledge_only,
     knowledge_gate,
@@ -449,6 +451,44 @@ class TestBatchedLoss:
         for name, p in model.params.items():
             np.testing.assert_allclose(p.grad if p.grad is not None else 0.0, singles.get(name, 0.0),
                                        rtol=0, atol=1e-12, err_msg=name)
+
+    @staticmethod
+    def _padded_loss_sum(model, batch, dropout_rng):
+        """loss_sum as one padded forward: every layer runs every position, pads included."""
+        pad = model.tokenizer.pad_id
+        src, memory_bias, _ = _pad([ex.src for ex in batch], pad)
+        tgt, _, _ = _pad([ex.tgt for ex in batch], pad)
+        memory = model.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
+        knowledge, knowledge_bias, mix = model._encode_graphs([ex.triples for ex in batch])
+        states = model.decode_states(tgt[:, :-1], memory, knowledge, dropout_rng=dropout_rng,
+                                     memory_bias=memory_bias, knowledge_bias=knowledge_bias, mix=mix)
+        targets = tgt[:, 1:]
+        rows = np.nonzero(targets != pad)
+        return ag.cross_entropy_sum(model.logits(states[rows]), targets[rows]), len(rows[0])
+
+    @pytest.mark.parametrize("with_triples", [True, False])
+    def test_packed_rows_match_padded_forward(self, fused, tok, with_triples):
+        """The packed loss and every gradient equal the padded composition's, at dropout 0.1."""
+        model = Model(fused.params, dataclasses.replace(TINY, dropout=0.1), tok, fused=True)
+        batch = [ex if with_triples else Example(ex.src, ex.tgt) for ex in self._examples(tok)]
+        results = []
+        for forward in (model.loss_sum, lambda b, dropout_rng: self._padded_loss_sum(model, b, dropout_rng)):
+            for p in model.params.values():
+                p.zero_grad()
+            rng = np.random.default_rng(3)
+            loss, n = forward(batch, dropout_rng=rng)
+            loss.backward()
+            grads = {name: p.grad for name, p in model.params.items()}
+            results.append((float(loss.data), n, grads, rng.bit_generator.state))
+        (packed, n_packed, g_packed, rng_packed), (padded, n_padded, g_padded, rng_padded) = results
+        assert n_packed == n_padded
+        assert abs(packed - padded) <= 1e-12 * abs(padded)
+        assert rng_packed == rng_padded
+        for name in model.params:
+            if g_padded[name] is None:
+                assert g_packed[name] is None, name
+            else:
+                np.testing.assert_allclose(g_packed[name], g_padded[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_every_parameter_gets_a_gradient(self, fused, tok):
         """No dead parameters: each gradient norm is above 1e-12 of the largest (dropout is 0)."""

@@ -186,7 +186,8 @@ def recount_train_tokenizer(texts: list[str], vocab_size: int) -> Tokenizer:
             for i in range(len(seq) - 1):
                 pair = (seq[i], seq[i + 1])
                 pair_freq[pair] = pair_freq.get(pair, 0) + f
-        pair_freq = {p: f for p, f in pair_freq.items() if p[0] + p[1] not in vocab_set}
+        pair_freq = {p: f for p, f in pair_freq.items() if p[0] + p[1] not in vocab_set
+                     and not ((p[0] + p[1]).endswith(EOW) and not p[1].endswith(EOW))}
         if not pair_freq:
             break
         best = max(pair_freq, key=lambda p: (pair_freq[p], p))
@@ -260,6 +261,12 @@ class TestIncrementalTrainer:
         got, want = train_tokenizer(texts, vocab_size), recount_train_tokenizer(texts, vocab_size)
         assert got.merges == want.merges
         assert got.dumps() == want.dumps()
+
+    def test_literal_end_of_word_spelling_stays_inside_a_word(self):
+        """No merge may spell EOW at its end from literal characters: decode would read a word end."""
+        tok = train_tokenizer(["b</w>x b</w>y b</w>z"], 2000)
+        assert all(b.endswith(EOW) for a, b in tok.merges if (a + b).endswith(EOW))
+        assert tok.decode(tok.encode("b</w>x")) == "b</w>x"
 
     @pytest.mark.parametrize("name,vocab_size", sorted(FROZEN_DUMPS))
     def test_frozen_digest(self, name, vocab_size):

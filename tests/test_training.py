@@ -93,6 +93,42 @@ class TestAdam:
         opt.step({"p": p})
         np.testing.assert_array_equal(p.data, np.ones(2))
 
+    def test_blocked_step_equals_per_tensor_step(self):
+        """Bit-equal to whole-tensor numpy Adam over several chunks, with clipping, a missing
+        gradient and a parameter whose data is not C-contiguous."""
+        lr, b1, b2, eps, clip = 0.01, 0.9, 0.999, 1e-8, 1.0
+        rng = np.random.default_rng(2)
+        shapes = {"big": (300, 250), "odd": (Adam.CHUNK + 7,), "none": (40, 3), "small": (5,)}
+        data = {k: rng.normal(size=s) for k, s in shapes.items()}
+        data["strided"] = rng.normal(size=(180, 400)).T  # Fortran order: 72,000 elements
+        params = {k: ag.Tensor(d.copy(order="K"), requires_grad=True) for k, d in data.items()}
+        assert not params["strided"].data.flags.c_contiguous
+        ref = {k: d.copy() for k, d in data.items()}
+        m = {k: np.zeros_like(d) for k, d in ref.items()}
+        v = {k: np.zeros_like(d) for k, d in ref.items()}
+        opt = Adam(lr, b1, b2, eps, clip_norm=clip)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=d.shape) for k, d in ref.items() if k != "none"}
+            for k, p in params.items():
+                p.grad = None if k == "none" else grads[k].copy()
+            norm = opt.step(params)
+            full = {k: grads.get(k, np.zeros_like(d)) for k, d in ref.items()}
+            total = math.sqrt(sum(float((g * g).sum()) for g in full.values()))
+            assert norm == total > clip
+            for k, d in ref.items():
+                g = full[k] * (clip / total)
+                m[k] *= b1
+                m[k] += (1.0 - b1) * g
+                v[k] *= b2
+                v[k] += (1.0 - b2) * g * g
+                d -= lr * (m[k] / (1.0 - b1 ** t)) / (np.sqrt(v[k] / (1.0 - b2 ** t)) + eps)
+            for k, p in params.items():
+                np.testing.assert_array_equal(p.data, ref[k], err_msg=k)
+                np.testing.assert_array_equal(opt.m[k], m[k], err_msg=k)
+                if k != "none":
+                    np.testing.assert_array_equal(p.grad, grads[k], err_msg=f"{k} grad written")
+        assert params["none"].grad is None
+
     def test_state_round_trip(self):
         rng = np.random.default_rng(1)
         p1 = ag.Tensor(np.ones(3), requires_grad=True)
@@ -183,6 +219,8 @@ class TestTrainLoop:
         train = [e for e in events if e["split"] == "train"]
         assert len(train) == 3
         assert all(e["grad_norm"] > 1e-6 and e["clipped"] is True for e in train)
+        # each step's non-PAD target tokens; a batch of 2 examples holds 2 to 2 * max_len - 2
+        assert all(isinstance(e["tokens"], int) and 2 <= e["tokens"] <= 2 * TINY.max_len - 2 for e in train)
 
     def test_divergence_raises(self, tok):
         rng = np.random.default_rng(4)
