@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -173,9 +174,24 @@ def _load_splits(data_dir: str):
     )
 
 
+def _save_trained(stage: str, result, out: Path, cfg) -> None:
+    """Write `<stage>.best` and its sidecar, emit train.done and print the summary."""
+    from .model import save_checkpoint
+
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / f"{stage}.best"
+    save_checkpoint(ckpt, result.model, step=result.steps_run)
+    _write_meta(ckpt, f"train {stage}", cfg, seed=cfg.train.seed)
+    # ru_maxrss is in KiB on Linux
+    log_event(event="train.done", stage=stage, steps_run=result.steps_run,
+              best_val_loss=result.best_val_loss,
+              peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    say(f"{stage}: best valid loss {result.best_val_loss:.4f} "
+        f"after {result.steps_run} steps -> {ckpt}")
+
+
 def cmd_train_pretrain(args) -> int:
     from . import training
-    from .model import save_checkpoint
     from .tokenizer import Tokenizer, train_tokenizer
 
     cfg = _load_run_config(args)
@@ -194,17 +210,13 @@ def cmd_train_pretrain(args) -> int:
         tokenizer.save(tok_path)
         log_event(event="tokenizer.trained", vocab_size=tokenizer.vocab_size, path=str(tok_path))
     result = training.pretrain(split, cfg.model, cfg.train, tokenizer, log_fn=_train_logger())
-    ckpt = out / "pretrain.best"
-    save_checkpoint(ckpt, result.model, step=result.steps_run)
-    _write_meta(ckpt, "train pretrain", cfg, seed=cfg.train.seed)
-    say(f"pretrain: best valid loss {result.best_val_loss:.4f} "
-        f"after {result.steps_run} steps -> {ckpt}")
+    _save_trained("pretrain", result, out, cfg)
     return 0
 
 
 def cmd_train_finetune(args) -> int:
     from . import training
-    from .model import load_checkpoint, save_checkpoint
+    from .model import load_checkpoint
 
     cfg = _load_run_config(args)
     split = _load_splits(args.data)
@@ -213,14 +225,9 @@ def cmd_train_finetune(args) -> int:
         raise RuntimeError(f"{args.init} is already a fused checkpoint")
     cfg.model = model.cfg  # the checkpoint fixes the architecture; the sidecar records it
     fused = training.transplant(model, seed=cfg.train.seed)
+    del model  # the plain weights are copied; fine-tune holds only the fused model
     result = training.finetune(fused, split, cfg.train, log_fn=_train_logger())
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "finetune.best"
-    save_checkpoint(ckpt, result.model, step=result.steps_run)
-    _write_meta(ckpt, "train finetune", cfg, seed=cfg.train.seed)
-    say(f"finetune: best valid loss {result.best_val_loss:.4f} "
-        f"after {result.steps_run} steps -> {ckpt}")
+    _save_trained("finetune", result, Path(args.out), cfg)
     return 0
 
 

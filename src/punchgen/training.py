@@ -140,16 +140,26 @@ def eval_loss(model: Model, examples: list[Example]) -> float:
     return sum(float(loss.data) for loss, _ in sums) / max(sum(n for _, n in sums), 1)
 
 
-def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[float, int, float]:
-    """One optimizer step; returns (per-token loss, non-PAD target tokens, pre-clip gradient norm)."""
+def _clear_grads(model: Model) -> None:
     for p in model.params.values():
         p.zero_grad()
+
+
+def train_step(model: Model, batch: list[Example], opt: Adam, rng) -> tuple[float, int, float]:
+    """One optimizer step; returns (per-token loss, non-PAD target tokens, pre-clip gradient norm).
+
+    Gradients live only inside the step: every .grad is None before the
+    forward and again once Adam has used it.
+    """
+    _clear_grads(model)
     loss, tokens = batch_loss(model, batch, dropout_rng=rng)
     value = float(loss.data)
     if not math.isfinite(value):
         raise DivergenceError(f"loss is {value}")
     loss.backward()
-    return value, tokens, opt.step(model.params)
+    grad_norm = opt.step(model.params)
+    _clear_grads(model)
+    return value, tokens, grad_norm
 
 
 def _snapshot(params: dict[str, ag.Tensor]) -> dict[str, np.ndarray]:
@@ -157,20 +167,28 @@ def _snapshot(params: dict[str, ag.Tensor]) -> dict[str, np.ndarray]:
 
 
 def _restore(params: dict[str, ag.Tensor], snap: dict[str, np.ndarray]) -> None:
+    """Swap the snapshot's arrays in; the snapshot must not be used afterwards."""
     for k, v in params.items():
-        v.data = snap[k].copy()
+        v.data = snap[k]
 
 
 def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
                tcfg: TrainConfig, rng: np.random.Generator,
                log_fn=None) -> TrainResult:
-    """Step loop with periodic validation and early stopping (best weights win)."""
+    """Step loop with periodic validation and early stopping (best weights win).
+
+    The model is the only full copy of the weights until an evaluation
+    improves before the last step: only then is the best snapshotted
+    (best_snap None means the live weights are the best evaluated so far),
+    and early stopping swaps that snapshot back in. A non-finite valid
+    loss raises DivergenceError.
+    """
     if not train_ex:
         raise ValueError("no training example is left after tokenization")
     opt = Adam(tcfg.learning_rate, tcfg.beta1, tcfg.beta2, tcfg.eps, clip_norm=tcfg.clip_norm)
     log = log_fn or (lambda event: None)
     best_val = math.inf
-    best_snap = _snapshot(model.params)
+    best_snap = None
     stale = 0
     history = []
     step = 0
@@ -188,15 +206,20 @@ def train_loop(model: Model, train_ex: list[Example], valid_ex: list[Example],
             vevent = {"step": step, "split": "valid", "loss": val, "ppl": math.exp(min(val, 50))}
             history.append(vevent)
             log(vevent)
+            if not math.isfinite(val):
+                raise DivergenceError(f"valid loss is {val} at step {step}")
             if val < best_val - 1e-12:
                 best_val = val
-                best_snap = _snapshot(model.params)
+                best_snap = None  # drop the old snapshot before taking the next
+                if step < tcfg.max_steps:
+                    best_snap = _snapshot(model.params)
                 stale = 0
             else:
                 stale += 1
                 if stale >= tcfg.patience:
                     break
-    _restore(model.params, best_snap)
+    if best_snap is not None:
+        _restore(model.params, best_snap)
     return TrainResult(model=model, best_val_loss=best_val, history=history, steps_run=step)
 
 

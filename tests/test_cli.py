@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -245,6 +246,26 @@ class TestTrainEvents:
             assert isinstance(e["tokens"], int) and e["tokens"] > 0
             assert e["tokens_per_s"] > 0
         assert all("tokens_per_s" not in e for e in events if e.get("split") == "valid")
+
+    def test_each_stage_closes_with_train_done(self, tmp_path, capsys):
+        from punchgen.corpus import JokeRecord, write_jsonl
+
+        data = tmp_path / "data"
+        data.mkdir()
+        records = [JokeRecord("the cat sat.", "on the mat", [("cat", "sat on", "mat")]),
+                   JokeRecord("a dog ran.", "into a bar")]
+        for name in ("train", "valid"):
+            write_jsonl(records, data / f"{name}.jsonl")
+        flags = ("--preset", "desk", "--max-steps", "2", "--eval-every", "1", "--batch-size", "2")
+        assert run_cli("train", "pretrain", "--data", str(data), "--out", str(tmp_path / "pre"), *flags) == 0
+        assert run_cli("train", "finetune", "--data", str(data), "--out", str(tmp_path / "ft"),
+                       "--init", str(tmp_path / "pre" / "pretrain.best"), *flags) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        done = [e for e in events if e.get("event") == "train.done"]
+        assert [e["stage"] for e in done] == ["pretrain", "finetune"]
+        for e in done:
+            assert e["steps_run"] == 2
+            assert math.isfinite(e["best_val_loss"]) and e["peak_rss_mb"] > 0
 
 
 class TestFlagChecks:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
+from punchgen import training
 from punchgen.config import ModelConfig, TrainConfig
 from punchgen.corpus import DatasetSplit, JokeRecord
 from punchgen.model import Model, init_params, is_knowledge_only, load_checkpoint, save_checkpoint
@@ -45,6 +46,38 @@ def small_split(records=None):
 @pytest.fixture(scope="module")
 def tok():
     return train_tokenizer([r.full_text() for r in RECORDS], vocab_size=300)
+
+
+HELD_OUT = DatasetSplit(train=RECORDS[:2], valid=RECORDS[2:], test=[])
+
+
+def improving_steps(history: list[dict]) -> list[int]:
+    """The steps whose evaluation beat every earlier one, by train_loop's rule."""
+    best, steps = math.inf, []
+    for e in history:
+        if e["split"] == "valid" and e["loss"] < best - 1e-12:
+            best = e["loss"]
+            steps.append(e["step"])
+    return steps
+
+
+def train_capturing(tok, split, tcfg, monkeypatch):
+    """train_loop on a fresh plain model; returns the result, a copy of the weights at
+    each evaluation, and how many snapshots the loop took."""
+    rng = np.random.default_rng(tcfg.seed)
+    model = Model(init_params(rng, TINY, tok.vocab_size, fused=False), TINY, tok, False)
+    at_eval = {}
+
+    def log(event):
+        if event["split"] == "valid":
+            at_eval[event["step"]] = {k: p.data.copy() for k, p in model.params.items()}
+
+    snapshots = []
+    take = training._snapshot
+    monkeypatch.setattr(training, "_snapshot", lambda params: snapshots.append(1) or take(params))
+    result = train_loop(model, prepare_examples(split.train, tok, TINY),
+                        prepare_examples(split.valid, tok, TINY), tcfg, rng, log_fn=log)
+    return result, at_eval, len(snapshots)
 
 
 class TestAdam:
@@ -230,14 +263,60 @@ class TestTrainLoop:
         with pytest.raises(DivergenceError):
             train_step(model, ex[:2], Adam(0.001), rng)
 
-    def test_early_stopping_restores_best(self, tok):
-        split = small_split()
-        # run long enough that overfitting/noise moves valid loss around
-        tcfg = TrainConfig(batch_size=2, max_steps=60, eval_every=5, patience=2, seed=5)
-        result = pretrain(split, TINY, tcfg, tok)
-        model = result.model
-        val = eval_loss(model, prepare_examples(split.valid, tok, TINY))
-        assert abs(val - result.best_val_loss) < 1e-9
+    def test_early_stopping_restores_best(self, tok, monkeypatch):
+        # on a held-out valid split at this rate the valid loss falls, then rises
+        tcfg = TrainConfig(batch_size=2, max_steps=60, eval_every=5, patience=2, seed=5, learning_rate=0.01)
+        result, at_eval, snapshots = train_capturing(tok, HELD_OUT, tcfg, monkeypatch)
+        assert result.steps_run == 30
+        improving = improving_steps(result.history)
+        assert improving == [5, 10, 15, 20] and snapshots == 4
+        best = improving[-1]
+        for name, p in result.model.params.items():
+            assert np.array_equal(p.data, at_eval[best][name]), name
+        val = eval_loss(result.model, prepare_examples(HELD_OUT.valid, tok, TINY))
+        assert val == result.best_val_loss
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_valid_loss_raises(self, tok, monkeypatch, value):
+        monkeypatch.setattr(training, "eval_loss", lambda model, examples: value)
+        tcfg = TrainConfig(batch_size=2, max_steps=10, eval_every=5, seed=5)
+        with pytest.raises(DivergenceError, match=f"valid loss is {value} at step 5"):
+            pretrain(small_split(), TINY, tcfg, tok)
+
+
+class TestOneCopyOfTheWeights:
+    """train_loop keeps a best-weights snapshot only while training goes on, and no gradient
+    outlives its step."""
+
+    def test_no_snapshot_when_only_the_last_step_evaluates(self, tok, monkeypatch):
+        tcfg = TrainConfig(batch_size=2, max_steps=10, eval_every=10, seed=5)
+        result, _, snapshots = train_capturing(tok, small_split(), tcfg, monkeypatch)
+        assert result.steps_run == 10 and snapshots == 0
+
+    @pytest.mark.parametrize("learning_rate,improving", [
+        (0.01, list(range(5, 61, 5))),
+        (0.1, [5, 10, 15, 25, 35, 40, 45, 50, 55]),
+    ], ids=["every-evaluation-improves", "last-evaluation-does-not"])
+    def test_snapshots_follow_improving_evaluations(self, tok, monkeypatch, learning_rate, improving):
+        """The early-stopped case is test_early_stopping_restores_best; these runs go the distance."""
+        tcfg = TrainConfig(batch_size=2, max_steps=60, eval_every=5, patience=2, seed=5,
+                           learning_rate=learning_rate)
+        result, at_eval, snapshots = train_capturing(tok, small_split(), tcfg, monkeypatch)
+        assert result.steps_run == 60
+        assert improving_steps(result.history) == improving
+        assert snapshots == sum(step < tcfg.max_steps for step in improving)
+        for name, p in result.model.params.items():
+            assert np.array_equal(p.data, at_eval[improving[-1]][name]), name
+
+    def test_gradients_freed_after_step_and_loop(self, tok):
+        rng = np.random.default_rng(4)
+        model = Model(init_params(rng, TINY, tok.vocab_size, fused=False), TINY, tok, False)
+        ex = prepare_examples(RECORDS, tok, TINY)
+        train_step(model, ex[:2], Adam(0.001), rng)
+        assert all(p.grad is None for p in model.params.values())
+        tcfg = TrainConfig(batch_size=2, max_steps=4, eval_every=2, seed=4)
+        result = train_loop(model, ex, ex, tcfg, rng)
+        assert all(p.grad is None for p in result.model.params.values())
 
 
 class TestTransplant:
