@@ -1,15 +1,19 @@
 """Corpus pipeline: filter raw jokes, segment punchlines, de-duplicate, split.
 
 A raw joke survives filtering when its characters are all allowed, it
-has at least two sentences and at least fifteen words. The last clause
-becomes the punchline. Near-duplicates (bag-of-words cosine above the
-threshold against an earlier survivor) are dropped keep-first, and the
-result is shuffled and split 7:2:1.
+has at least two sentences and at least fifteen words; compiled regexes
+check the first two. The last clause becomes the punchline.
+Near-duplicates (bag-of-words cosine above the threshold against an
+earlier survivor) are dropped keep-first, and the result is shuffled and
+split 7:2:1. De-duplication counts every record's words in one pass
+(`bow_rows`) and hands the rows to `kernels.dedup_scan`, whose prefix
+filter verifies only the pairs that could pass the threshold.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import re
@@ -27,6 +31,16 @@ MIN_SENTENCES = 2
 MIN_WORDS = 15
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# a sentence from its first character that is neither whitespace nor a delimiter
+# up to the next delimiter; \s matches exactly the characters str.isspace() accepts
+_SENTENCE_RE = re.compile(f"[^{re.escape(SENTENCE_DELIMS)}\\s][^{re.escape(SENTENCE_DELIMS)}]*")
+_FOREIGN_RE = re.compile(f"[^ -~{re.escape(EXTRA_ALLOWED)}]")
+# bow_rows' word between texts: upper case, so no lower-cased text holds it
+_ROW_BREAK = b"Q"
+# keeps the bytes of _TOKEN_RE's characters and the break, maps every other byte to a
+# space; UTF-8 encodes a non-ASCII character in bytes >= 0x80 only, so none survives
+_WORD_BYTES = bytes(b if _TOKEN_RE.fullmatch(chr(b)) or bytes([b]) == _ROW_BREAK else 0x20
+                    for b in range(256))
 
 
 class SegmentationError(Exception):
@@ -84,8 +98,8 @@ class DatasetSplit:
 
 
 def count_sentences(text: str) -> int:
-    parts = re.split(f"[{re.escape(SENTENCE_DELIMS)}]+", text)
-    return sum(1 for p in parts if p.strip())
+    """Runs of text between sentence delimiters that hold a non-whitespace character."""
+    return len(_SENTENCE_RE.findall(text))
 
 
 def count_words(text: str) -> int:
@@ -94,13 +108,7 @@ def count_words(text: str) -> int:
 
 def charset_permits(text: str) -> bool:
     """True when every character is printable ASCII or in EXTRA_ALLOWED."""
-    for ch in text:  # a plain loop: an all(...) generator over the characters took 1.4x as long
-        if " " <= ch <= "~":
-            continue
-        if ch in EXTRA_ALLOWED:
-            continue
-        return False
-    return True
+    return _FOREIGN_RE.search(text) is None
 
 
 def filter_joke(raw: RawJoke) -> RawJoke | None:
@@ -149,6 +157,27 @@ def bow_vector(text: str) -> BowVector:
     return BowVector(counts)
 
 
+def bow_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bow_vector counts of every text as CSR rows: (indptr, word ids, counts, sumsq).
+
+    One pass over the lower-cased texts' UTF-8 bytes, joined by _ROW_BREAK:
+    the bytes that _TOKEN_RE does not match become spaces, and the words
+    are what lies between them, as bow_tokens finds them. Word ids number
+    the words from 1 in order of first appearance, sorted within each row.
+    """
+    joined = (b" %b " % _ROW_BREAK).join([text.lower().encode("utf-8", "replace") for text in texts])
+    words = joined.translate(_WORD_BYTES).split()
+    vocab = dict(zip(dict.fromkeys([_ROW_BREAK, *words]), itertools.count()))
+    ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
+    breaks = ids == 0
+    row = np.cumsum(breaks)[~breaks]
+    keys, cnt = np.unique(row * len(vocab) + ids[~breaks], return_counts=True)
+    row, tok = np.divmod(keys, len(vocab))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(texts)))))
+    sumsq = np.bincount(row, weights=cnt.astype(np.float64) ** 2, minlength=len(texts))
+    return indptr, tok, cnt, sumsq
+
+
 def bow_cosine(a: BowVector, b: BowVector) -> float:
     """Cosine of two count vectors over the union vocabulary; 0 if either is empty.
 
@@ -172,19 +201,8 @@ def deduplicate(jokes: list[JokeRecord], threshold: float = 0.93) -> list[JokeRe
         raise ValueError("threshold must be in (0, 1]")
     if not jokes:
         return []
-    vocab: dict[str, int] = {}
-    indptr = [0]
-    tok_ids: list[int] = []
-    counts: list[float] = []
-    sumsq = np.empty(len(jokes))
-    for i, rec in enumerate(jokes):
-        vec = bow_vector(rec.full_text())
-        row = sorted((vocab.setdefault(t, len(vocab)), c) for t, c in vec.counts.items())
-        tok_ids.extend(t for t, _ in row)
-        counts.extend(c for _, c in row)
-        indptr.append(len(tok_ids))
-        sumsq[i] = vec.sumsq
-    keep = kernels.dedup_scan(indptr, tok_ids, counts, sumsq, threshold)
+    indptr, tok, cnt, sumsq = bow_rows([rec.full_text() for rec in jokes])
+    keep = kernels.dedup_scan(indptr, tok, cnt, sumsq, threshold)
     return [rec for rec, k in zip(jokes, keep) if k]
 
 

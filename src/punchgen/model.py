@@ -259,13 +259,15 @@ class Model:
         self.cfg = cfg
         self.tokenizer = tokenizer
         self.fused = fused
+        # every row is the same elementwise formula, so a slice equals a shorter table bit for bit
+        self.positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
 
     # -------------------------------------------------------------- embeddings
 
     def _embed(self, ids: np.ndarray, offset: int, real: np.ndarray | None = None) -> ag.Tensor:
         """Scaled embeddings plus the sinusoids of positions offset, offset + 1, ...;
         with the mask `real`, the packed rows of its real ids."""
-        positions = sinusoidal_positions(offset + ids.shape[-1], self.cfg.d_model)[offset:]
+        positions = self.positions[offset: offset + ids.shape[-1]]
         if real is not None:
             ids, positions = ids[real], positions[np.nonzero(real)[-1]]
         return self.params["emb"][ids] * np.sqrt(self.cfg.d_model) + ag.Tensor(positions)

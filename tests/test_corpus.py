@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,35 @@ class TestFilter:
         text = "a b c d e f g h i j k l m. n o."
         assert len(text.split()) == 15
         assert filter_joke(RawJoke(text)) is not None
+
+
+# texts that mix the filters' edge cases: delimiters, Unicode whitespace and letters,
+# curly quotes, the Kelvin sign (lower-cases to ASCII k) and the row break of bow_rows
+EDGY_TEXT = st.one_of(st.text(alphabet="aZq Q9.!?,;\t\n\u00a0\u2003\u212a\u0130é’“☃\x7f~", max_size=60),
+                      st.text(max_size=60))
+
+
+def charset_by_loop(text):
+    return all(" " <= ch <= "~" or ch in corpus.EXTRA_ALLOWED for ch in text)
+
+
+def sentences_by_split(text):
+    parts = re.split(f"[{re.escape(corpus.SENTENCE_DELIMS)}]+", text)
+    return sum(1 for p in parts if p.strip())
+
+
+class TestFilterRegexes:
+    @given(EDGY_TEXT)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_against_per_character_references(self, text):
+        assert corpus.charset_permits(text) == charset_by_loop(text)
+        assert corpus.count_sentences(text) == sentences_by_split(text)
+
+    def test_hand_counts(self):
+        assert corpus.count_sentences("  . Hi!! there ?  ") == 2
+        assert corpus.count_sentences(" \u2003. ...") == 0
+        assert corpus.charset_permits("it’s “fine” ~")
+        assert not corpus.charset_permits("tab\there")
 
 
 class TestSegmentation:
@@ -195,6 +225,22 @@ class TestDeduplicate:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             deduplicate([], threshold=0.0)
+
+
+class TestBowRows:
+    @given(st.lists(EDGY_TEXT, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rows_are_the_bow_vectors(self, texts):
+        vocab = {}
+        for text in texts:
+            for word in corpus.bow_tokens(text):
+                vocab.setdefault(word, len(vocab) + 1)
+        indptr, tok, cnt, sumsq = corpus.bow_rows(texts)
+        for i, text in enumerate(texts):
+            vec = bow_vector(text)
+            want = sorted((vocab[w], c) for w, c in vec.counts.items())
+            assert list(zip(tok[indptr[i]:indptr[i + 1]].tolist(), cnt[indptr[i]:indptr[i + 1]].tolist())) == want
+            assert sumsq[i] == vec.sumsq
 
 
 class TestSplit:

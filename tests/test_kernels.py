@@ -42,8 +42,35 @@ def dedup_reference(rows, threshold):
     return keep
 
 
-def scan(rows, threshold):
-    """kernels.dedup_scan over dict rows, CSR-packed as corpus.deduplicate does."""
+def sparse_product_scan(indptr, tok, cnt, sumsq, threshold, block=128):
+    """The keep-first scan that forms every pair of rows sharing a word: the at-scale oracle.
+
+    One sparse product per block of rows against all rows up to the
+    block's end; a pair j < i above the threshold removes row i if row j
+    survives.
+    """
+    import scipy.sparse as sp
+
+    n = len(indptr) - 1
+    x = sp.csr_matrix((np.asarray(cnt, dtype=np.float64), tok, indptr),
+                      shape=(n, int(max(tok, default=0)) + 1))
+    sumsq = np.asarray(sumsq, dtype=np.float64)
+    keep = np.ones(n, dtype=bool)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dots = x[lo:hi] @ x[:hi].T
+        norms = sumsq[dots.indices] * np.repeat(sumsq[lo:hi], np.diff(dots.indptr))
+        np.sqrt(norms, out=norms)
+        close = np.flatnonzero(dots.data / norms > threshold)
+        rows = np.searchsorted(dots.indptr, close, side="right") - 1 + lo
+        for i, j in zip(rows.tolist(), dots.indices[close].tolist()):
+            if j < i and keep[j]:
+                keep[i] = False
+    return keep.tolist()
+
+
+def pack(rows):
+    """Dict rows CSR-packed as corpus.deduplicate packs them: (indptr, tok, cnt, sumsq)."""
     indptr, tok, cnt, sumsq = [0], [], [], []
     for row in rows:
         for t in sorted(row):
@@ -51,7 +78,36 @@ def scan(rows, threshold):
             cnt.append(row[t])
         indptr.append(len(tok))
         sumsq.append(sum(c * c for c in row.values()))
-    return kernels.dedup_scan(indptr, tok, cnt, sumsq, threshold).tolist()
+    return indptr, tok, cnt, sumsq
+
+
+def scan(rows, threshold):
+    """kernels.dedup_scan over dict rows."""
+    return kernels.dedup_scan(*pack(rows), threshold).tolist()
+
+
+def cosine(a, b):
+    """The kernel's expression for the cosine of dict rows a before b."""
+    dot = sum(c * b.get(t, 0) for t, c in a.items())
+    return dot / math.sqrt(sum(c * c for c in a.values()) * sum(c * c for c in b.values()))
+
+
+def zipf_rows(rng, n_rows, vocab, share_near=0.1):
+    """Count rows of Zipf-drawn words; a share of them repeat an earlier row with one word added."""
+    weights = 1.0 / np.arange(1, vocab + 1) ** 0.9
+    weights /= weights.sum()
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < share_near:
+            row = dict(rows[int(rng.integers(len(rows)))])
+            extra = int(rng.integers(vocab))
+            row[extra] = row.get(extra, 0) + 1
+        else:
+            row = {}
+            for t in rng.choice(vocab, size=int(rng.integers(10, 31)), p=weights).tolist():
+                row[t] = row.get(t, 0) + 1
+        rows.append(row)
+    return rows
 
 
 def random_rows(rng, n_rows, vocab):
@@ -136,3 +192,61 @@ class TestDedupScan:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "DEDUP_BLOCK_ROWS", block)
             assert scan(rows, threshold) == dedup_reference(rows, threshold)
+
+    def test_zipf_corpus_against_sparse_product_oracle(self):
+        rows = zipf_rows(np.random.default_rng(17), 3000, 1500)
+        packed = pack(rows)
+        for threshold in (0.5, 0.8, 0.93):
+            keep = kernels.dedup_scan(*packed, threshold).tolist()
+            assert keep == sparse_product_scan(*packed, threshold)
+            assert 0 < keep.count(False) < len(rows)
+
+    @given(st.lists(st.tuples(st.dictionaries(st.integers(0, 3), st.integers(1, 6), min_size=1, max_size=4),
+                              st.integers(1, 3)), min_size=1, max_size=8),
+           st.lists(st.integers(0, 20), max_size=3),
+           st.sampled_from([0.05, 0.5, 0.9, 0.97, 1.0]), st.booleans(), st.integers(1, 8))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_property_pairs_sharing_only_frequent_words(self, pairs, empty_at, threshold, at_cosine, block):
+        # each pair shares only words 0-3, which every pair holds, so they come last in the
+        # rarest-first order; each row's own word is the rarest. Counts run above 1.
+        rows = []
+        for k, (common, c) in enumerate(pairs):
+            rows += [{**common, 100 + 2 * k: c}, {**common, 101 + 2 * k: c}]
+        for at in empty_at:
+            rows.insert(min(at, len(rows)), {})
+        if at_cosine:
+            threshold = cosine(*[r for r in rows if r][:2])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "DEDUP_BLOCK_ROWS", block)
+            assert scan(rows, threshold) == dedup_reference(rows, threshold)
+
+    @given(st.dictionaries(st.integers(0, 5), st.integers(1, 5), min_size=1, max_size=5),
+           st.dictionaries(st.integers(0, 5), st.integers(1, 5), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_property_cosine_exactly_at_threshold(self, a, b):
+        c = cosine(a, b)
+        if c > 0:
+            # filler rows make the shared words frequent, so the pair's prefixes are short
+            filler = [dict.fromkeys(a, 7), dict.fromkeys(b, 7)] if c < 1 else []
+            rows = [*filler, a, b]
+            assert scan(rows, c) == dedup_reference(rows, c)
+            assert scan([a, b], c) == [True, True]
+            assert scan([a, b], float(np.nextafter(c, 0.0))) == [True, False]
+
+    @given(st.lists(st.dictionaries(st.integers(0, 9), st.integers(1, 4), max_size=6), min_size=2, max_size=25),
+           st.sampled_from([0.05, 0.3, 0.7, 0.93, 1.0]))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_property_rows_without_a_shared_prefix_word_stay_below_threshold(self, rows, threshold):
+        indptr, tok, cnt, sumsq = pack(rows)
+        p_row, p_tok = kernels.prefix_entries(np.asarray(indptr, dtype=np.int64), np.asarray(tok, dtype=np.int64),
+                                              np.asarray(cnt, dtype=np.float64), np.asarray(sumsq, dtype=np.float64),
+                                              threshold)
+        prefix = [set() for _ in rows]
+        for r, t in zip(p_row.tolist(), p_tok.tolist()):
+            prefix[r].add(t)
+        for i, a in enumerate(rows):
+            if a:
+                assert prefix[i] and prefix[i] <= set(a)
+            for b, p in zip(rows[:i], prefix):
+                if a and b and not prefix[i] & p:
+                    assert cosine(b, a) < threshold

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
-from punchgen.config import ModelConfig
+from punchgen.config import ModelConfig, preset
 from punchgen.model import (
     MASK_OFF,
     Example,
@@ -96,6 +96,22 @@ def np_encoder(ids, p, cfg):
         ff = ff @ p[f"enc.{n}.ff.w2"].data + p[f"enc.{n}.ff.b2"].data
         x = np_layer_norm(x + ff, p[f"enc.{n}.ln2.g"].data, p[f"enc.{n}.ln2.b"].data)
     return x
+
+
+class TestPositions:
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_table_prefix_is_the_shorter_table_bit_for_bit(self, name):
+        cfg = preset(name).model
+        table = sinusoidal_positions(cfg.max_len, cfg.d_model)
+        for length in range(1, cfg.max_len + 1):
+            assert sinusoidal_positions(length, cfg.d_model).tobytes() == table[:length].tobytes()
+
+    def test_embed_slices_the_model_table(self, plain, tok):
+        ids = np.asarray(tok.encode("the cat sat on the mat"))
+        for offset in (0, 3, TINY.max_len - len(ids)):
+            want = (plain.params["emb"].data[ids] * np.sqrt(TINY.d_model)
+                    + sinusoidal_positions(offset + len(ids), TINY.d_model)[offset:])
+            assert plain._embed(ids, offset).data.tobytes() == want.tobytes()
 
 
 class TestEncoder:
