@@ -245,11 +245,14 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "
                          f"got {cfg.max_decode_len}")
     out = Path(args.output)
+    start = time.perf_counter()
     n = generate_file(args.input, model, out, beam=cfg.beam, max_len=cfg.max_decode_len,
                       length_normalize=not args.raw_score,
                       refs_path=args.refs_output)
+    seconds = time.perf_counter() - start
     _write_meta(out, "generate", cfg)
-    log_event(event="generate.done", records=n, beam=cfg.beam)
+    log_event(event="generate.done", records=n, beam=cfg.beam, seconds=seconds,
+              records_per_s=n / seconds)
     say(f"generated {n} punchlines -> {out}")
     return 0
 
@@ -257,7 +260,9 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluation import evaluate_corpus
 
+    start = time.perf_counter()
     report = evaluate_corpus(args.hyps, args.refs)
+    seconds = time.perf_counter() - start
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")
@@ -266,7 +271,8 @@ def cmd_evaluate(args) -> int:
     else:
         say(report.table())
     log_event(event="evaluate.done", **{k: v for k, v in report.to_dict().items()
-                                        if k != "n_lines"}, n_lines=report.n_lines)
+                                        if k != "n_lines"}, n_lines=report.n_lines,
+              seconds=seconds, lines_per_s=report.n_lines / seconds)
     return 0
 
 

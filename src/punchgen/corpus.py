@@ -6,8 +6,9 @@ check the first two. The last clause becomes the punchline.
 Near-duplicates (bag-of-words cosine above the threshold against an
 earlier survivor) are dropped keep-first, and the result is shuffled and
 split 7:2:1. De-duplication counts every record's words in one pass
-(`bow_rows`) and hands the rows to `kernels.dedup_scan`, whose prefix
-filter verifies only the pairs that could pass the threshold.
+(`word_ids`, which ROUGE scoring shares, then `bow_rows`) and hands the
+rows to `kernels.dedup_scan`, whose prefix filter verifies only the
+pairs that could pass the threshold.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # up to the next delimiter; \s matches exactly the characters str.isspace() accepts
 _SENTENCE_RE = re.compile(f"[^{re.escape(SENTENCE_DELIMS)}\\s][^{re.escape(SENTENCE_DELIMS)}]*")
 _FOREIGN_RE = re.compile(f"[^ -~{re.escape(EXTRA_ALLOWED)}]")
-# bow_rows' word between texts: upper case, so no lower-cased text holds it
+# word_ids' word between texts: upper case, so no lower-cased text holds it
 _ROW_BREAK = b"Q"
 # keeps the bytes of _TOKEN_RE's characters and the break, maps every other byte to a
 # space; UTF-8 encodes a non-ASCII character in bytes >= 0x80 only, so none survives
@@ -157,21 +158,31 @@ def bow_vector(text: str) -> BowVector:
     return BowVector(counts)
 
 
-def bow_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bow_vector counts of every text as CSR rows: (indptr, word ids, counts, sumsq).
+def word_ids(texts: list[str]) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """Every word of every text, as bow_tokens finds them, in text order: (row, ids, vocab).
 
     One pass over the lower-cased texts' UTF-8 bytes, joined by _ROW_BREAK:
     the bytes that _TOKEN_RE does not match become spaces, and the words
-    are what lies between them, as bow_tokens finds them. Word ids number
-    the words from 1 in order of first appearance, sorted within each row.
+    are what lies between them. row[k] is the index of the text that holds
+    word k and ids[k] its id; ids number the words from 1 in order of first
+    appearance, and vocab[i] is the ASCII bytes of word i (vocab[0] is the
+    break).
     """
     joined = (b" %b " % _ROW_BREAK).join([text.lower().encode("utf-8", "replace") for text in texts])
     words = joined.translate(_WORD_BYTES).split()
     vocab = dict(zip(dict.fromkeys([_ROW_BREAK, *words]), itertools.count()))
     ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
     breaks = ids == 0
-    row = np.cumsum(breaks)[~breaks]
-    keys, cnt = np.unique(row * len(vocab) + ids[~breaks], return_counts=True)
+    return np.cumsum(breaks)[~breaks], ids[~breaks], list(vocab)
+
+
+def bow_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bow_vector counts of every text as CSR rows: (indptr, word ids, counts, sumsq).
+
+    Word ids are those of `word_ids`, sorted within each row.
+    """
+    row, ids, vocab = word_ids(texts)
+    keys, cnt = np.unique(row * len(vocab) + ids, return_counts=True)
     row, tok = np.divmod(keys, len(vocab))
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(texts)))))
     sumsq = np.bincount(row, weights=cnt.astype(np.float64) ** 2, minlength=len(texts))

@@ -1,13 +1,16 @@
 """Collects ACCEPTANCE result lines and prints them after the test run,
 builds the environment for tests that run the CLI in a subprocess, and
-puts the repository root on sys.path for `perfbench.tracing`."""
+puts the repository root on sys.path for `perfbench.tracing` and
+`perfbench.reference`."""
 
 import os
 import sys
 from pathlib import Path
 
-# the repository root, so tests count tape nodes with the benchmark's own counter
+# the repository root, so tests count tape nodes with the benchmark's own counter and
+# check ROUGE against its reference; perfbench/ too, where perfbench.reference imports `stub`
 sys.path.append(str(Path(__file__).resolve().parents[1]))
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -156,6 +156,13 @@ class TestGenerateFlags:
         assert not paths[2].exists()
         assert self.generate(paths, "--max-len", "16", "--beam", "1") == 0
 
+    def test_done_event_carries_time_and_rate(self, paths, capsys):
+        assert self.generate(paths, "--max-len", "4", "--beam", "2") == 0
+        done = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert done["event"] == "generate.done" and done["records"] == 1 and done["beam"] == 2
+        assert done["seconds"] > 0
+        assert done["records_per_s"] == pytest.approx(1 / done["seconds"])
+
     def test_zero_beam_is_usage_error(self, paths, capsys):
         assert self.generate(paths, "--max-len", "4", "--beam", "0") == 1
         assert "--beam must be at least 1" in capsys.readouterr().err
@@ -368,6 +375,18 @@ class TestEvaluateCli:
                        "--json", "--output", str(report)) == 0
         data = json.loads(report.read_text())
         assert data["rouge1"]["f1"] == 100.0
+
+    def test_done_event_carries_scores_time_and_rate(self, tmp_path, capsys):
+        hyps = tmp_path / "h.txt"
+        refs = tmp_path / "r.txt"
+        hyps.write_text("the cat sat\na dog\n")
+        refs.write_text("the cat sat\na cat\n")
+        assert run_cli("evaluate", "--hyps", str(hyps), "--refs", str(refs)) == 0
+        done = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert done["event"] == "evaluate.done" and done["n_lines"] == 2
+        assert done["rouge1"]["f1"] == pytest.approx(75.0)
+        assert done["seconds"] > 0
+        assert done["lines_per_s"] == pytest.approx(2 / done["seconds"])
 
     def test_line_mismatch_is_runtime_error(self, tmp_path):
         hyps = tmp_path / "h.txt"

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from punchgen import corpus
@@ -225,6 +225,19 @@ class TestDeduplicate:
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             deduplicate([], threshold=0.0)
+
+
+class TestWordIds:
+    @given(st.lists(st.one_of(EDGY_TEXT, st.text(alphabet="aQ9 \r\n\ud800\udfff\u0130\u212a", max_size=30)),
+                    max_size=6))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example(["", "Q", "q Q", "\u0130stanbul \u212aelvin", "x\ud800y", "a\r\nb", " .,! ", ""])
+    def test_words_are_bow_tokens(self, texts):
+        row, ids, vocab = corpus.word_ids(texts)
+        assert len(set(vocab)) == len(vocab)  # one id per word
+        assert len(ids) == sum(len(corpus.bow_tokens(text)) for text in texts)
+        for i, text in enumerate(texts):
+            assert [vocab[k].decode() for k in ids[row == i].tolist()] == corpus.bow_tokens(text)
 
 
 class TestBowRows:

@@ -5,70 +5,79 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from perfbench.reference import max_abs_diff
+from perfbench.reference import rouge as reference_rouge
+from punchgen.corpus import bow_tokens
 from punchgen.evaluation import (
     LineCountMismatch,
+    LinePairs,
+    RougeReport,
     Score,
     evaluate_corpus,
     evaluate_lines,
     rouge_l,
     rouge_n,
     score_pair,
-    score_tokens,
 )
 
 SHEET = json.loads((Path(__file__).parent / "fixtures" / "rouge_sheet.json").read_text())
 
 
+def one_pair(hyp: list[str], ref: list[str]) -> LinePairs:
+    """A single hypothesis/reference line pair of the given words."""
+    return LinePairs.of([" ".join(hyp)], [" ".join(ref)])
+
+
 class TestRougeN:
     def test_perfect_match(self):
-        s = rouge_n(["the", "cat"], ["the", "cat"], 1)
+        s = rouge_n(one_pair(["the", "cat"], ["the", "cat"]), 1).line(0)
         assert s == Score(1.0, 1.0, 1.0)
 
     def test_disjoint(self):
-        s = rouge_n(["a", "b"], ["c", "d"], 2)
+        s = rouge_n(one_pair(["a", "b"], ["c", "d"]), 2).line(0)
         assert s.f1 == 0.0
 
     def test_hand_value(self):
         # hyp "the cat" vs ref "the cat sat": recall 2/3, precision 1, f1 0.8
-        s = rouge_n(["the", "cat"], ["the", "cat", "sat"], 1)
+        s = rouge_n(one_pair(["the", "cat"], ["the", "cat", "sat"]), 1).line(0)
         assert s.precision == pytest.approx(1.0)
         assert s.recall == pytest.approx(2 / 3)
         assert s.f1 == pytest.approx(0.8)
 
     def test_clipping(self):
         # "the the the" vs "the cat": overlap clipped to 1
-        s = rouge_n(["the", "the", "the"], ["the", "cat"], 1)
+        s = rouge_n(one_pair(["the", "the", "the"], ["the", "cat"]), 1).line(0)
         assert s.precision == pytest.approx(1 / 3)
         assert s.recall == pytest.approx(1 / 2)
 
     def test_short_sequences_yield_zero_bigrams(self):
-        s = rouge_n(["one"], ["one"], 2)
+        s = rouge_n(one_pair(["one"], ["one"]), 2).line(0)
         assert s == Score(0.0, 0.0, 0.0)
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            rouge_n(["a"], ["a"], 3)
+            rouge_n(one_pair(["a"], ["a"]), 3)
 
 
 class TestRougeL:
     def test_identical(self):
-        assert rouge_l(["a", "b", "c"], ["a", "b", "c"]).f1 == 1.0
+        assert rouge_l(one_pair(["a", "b", "c"], ["a", "b", "c"])).line(0).f1 == 1.0
 
     def test_hand_value(self):
-        s = rouge_l(["a", "c", "b"], ["a", "b", "c"])
+        s = rouge_l(one_pair(["a", "c", "b"], ["a", "b", "c"])).line(0)
         assert s.precision == pytest.approx(2 / 3)
         assert s.recall == pytest.approx(2 / 3)
         assert s.f1 == pytest.approx(2 / 3)
 
     def test_empty_hypothesis(self):
-        assert rouge_l([], ["a", "b"]) == Score(0.0, 0.0, 0.0)
+        assert rouge_l(one_pair([], ["a", "b"])).line(0) == Score(0.0, 0.0, 0.0)
 
     def test_lcs_at_least_common_bigram_chain(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             hyp = [str(x) for x in rng.integers(0, 5, size=rng.integers(2, 12))]
             ref = [str(x) for x in rng.integers(0, 5, size=rng.integers(2, 12))]
-            lcs = rouge_l(hyp, ref).precision * len(hyp)
+            lcs = rouge_l(one_pair(hyp, ref)).line(0).precision * len(hyp)
             chain = longest_common_bigram_chain(hyp, ref)
             assert round(lcs) >= chain
 
@@ -88,9 +97,6 @@ def longest_common_bigram_chain(hyp, ref):
 def oracle_scores(hyp_text, ref_text):
     """Independent reference: dict n-gram counting + recursive-memo LCS."""
 
-    def toks(s):
-        return score_tokens(s)
-
     def counts(xs, n):
         d = {}
         for i in range(len(xs) - n + 1):
@@ -103,7 +109,7 @@ def oracle_scores(hyp_text, ref_text):
         f = 2 * p * r / (p + r) if p + r else 0.0
         return {"precision": p, "recall": r, "f1": f}
 
-    h, r = toks(hyp_text), toks(ref_text)
+    h, r = bow_tokens(hyp_text), bow_tokens(ref_text)
 
     def rn_score(n):
         hc, rc = counts(h, n), counts(r, n)
@@ -138,6 +144,44 @@ class TestFrozenSheet:
             assert o1 == entry["rouge1"]
             assert o2 == entry["rouge2"]
             assert ol == entry["rougeL"]
+
+
+def words(rng, vocab: int, n: int) -> str:
+    return " ".join(f"w{k}" for k in rng.integers(0, vocab, size=n))
+
+
+_RNG = np.random.default_rng(7)
+EDGE_LINES = {
+    "empty hypothesis": (["", " ... "], ["the cat sat", "a"]),
+    "empty reference": (["the cat sat", "a"], ["", "!?"]),
+    "both sides empty": (["", "a b"], ["", "a b"]),
+    "one-word lines, no bigrams": (["cat", "dog", "cat"], ["cat", "cat dog", "dog"]),
+    "repeated words are clipped": (["the the the cat cat", "a a a a", "x y x y x y"],
+                                   ["the cat the", "a b a", "x y x"]),
+    "hypothesis over 128 words": ([words(_RNG, 40, 300), words(_RNG, 9, 129)],
+                                  [words(_RNG, 40, 150), words(_RNG, 9, 20)]),
+}
+EDGE_LINES["all of the above in one batch"] = tuple(
+    [line for hyps_refs in EDGE_LINES.values() for line in hyps_refs[side]] for side in (0, 1))
+
+
+class TestBatchedScoring:
+    """evaluate_lines scores all lines at once; each case against the per-line Counter/LCS reference."""
+
+    @pytest.mark.parametrize("hyps,refs", EDGE_LINES.values(), ids=list(EDGE_LINES))
+    def test_matches_counter_reference(self, hyps, refs):
+        assert max_abs_diff(evaluate_lines(hyps, refs).to_dict(), reference_rouge(hyps, refs)) <= 1e-12
+        for hyp, ref in zip(hyps, refs):
+            got = score_pair(hyp, ref)
+            want = oracle_scores(hyp, ref)
+            assert [s.__dict__ for s in got] == list(want)
+
+    def test_no_lines(self):
+        assert evaluate_lines([], []) == RougeReport(Score(0, 0, 0), Score(0, 0, 0), Score(0, 0, 0), 0)
+
+    def test_line_count_mismatch(self):
+        with pytest.raises(LineCountMismatch):
+            evaluate_lines(["a"], [])
 
 
 class TestCorpus:

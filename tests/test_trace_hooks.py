@@ -1,7 +1,7 @@
 """The per-layer bench patches punchgen functions by name; a rename must fail here."""
 
-from punchgen import decoding, model
-from punchgen.corpus import JokeRecord
+from punchgen import decoding, evaluation, model
+from punchgen.corpus import JokeRecord, write_jsonl
 from punchgen.selftest import desk_model
 
 from perfbench.tracing import Tracer
@@ -31,3 +31,25 @@ def test_tracer_installs_runs_and_uninstalls():
     assert 1 <= len(steps) <= 6
     assert all(1 <= s[5] <= 3 for s in steps)
     assert 1 <= tracer.notes["decoded_tokens"] <= len(steps)
+
+
+def test_rouge_and_generate_phases_keep_the_rows_the_bench_reads(tmp_path):
+    """`perfbench/tracing.py` reads these spans; without them a `--trace 1` run reports nothing or fails."""
+    lm = desk_model(seed=1, fused=True)
+    records = tmp_path / "test.jsonl"
+    write_jsonl([JokeRecord("the dog chewed the remote,", "x.", [("dog", "chews", "remote")]),
+                 JokeRecord("a cat sat,", "on the mat.")], records)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        tracer.run_phase("rouge", lambda: evaluation.evaluate_lines(["the cat sat", "a dog"],
+                                                                    ["the cat", "a dog ran"]))
+        tracer.run_phase("generate", lambda: decoding.generate_file(records, lm, tmp_path / "hyps.txt",
+                                                                    beam=2, max_len=4))
+    finally:
+        tracer.uninstall()
+    table = tracer.table()
+    assert table[("rouge", "evaluation.rouge_n")]["calls"] >= 1
+    assert table[("rouge", "kernels.lcs")]["calls"] == 2  # one per line pair
+    # the bench divides the generate rows by these calls: one per record
+    assert table[("generate", "decoding.decode_record")]["calls"] == 2
