@@ -5,6 +5,15 @@ below: a ``Tensor`` wraps a float64 ndarray, records the closure that
 propagates its output gradient to its parents, and ``Tensor.backward``
 replays the tape in reverse topological order.
 
+One worker thread runs beside the caller's. During a backward it takes
+every piece of gradient work whose target is a large leaf (a parameter of
+at least LEAF_FLOOR elements): the weight product of a matmul, the scatter
+of an embedding lookup and every accumulation into that leaf, in tape
+order, while the calling thread walks the tape through the activations.
+Each leaf's contributions are summed on one thread in the serial order, so
+gradients are bit-identical to a serial backward. `run_beside` lends the
+same worker to other code (the optimizer).
+
 All data is kept in float64 so finite-difference gradient checks are
 meaningful at tight tolerances.
 """
@@ -12,23 +21,45 @@ meaningful at tight tolerances.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-_GRAD_ENABLED = True
+# Elements; a smaller leaf's gradient work stays on the calling thread. Handing off the
+# desk preset's leaves (at most 58,688 elements) cost more than it saved.
+LEAF_FLOOR = 1 << 17
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autograd")
+
+
+# Per-thread state: every thread starts from the defaults. A context variable is read in a
+# third of the time a threading.local attribute takes, and tape recording is read by every op.
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
+_JOBS = contextvars.ContextVar("jobs", default=None)  # worker jobs of the running backward
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape recording on this thread inside the block (inference mode)."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
+
+
+def run_beside(job, own):
+    """Run job() on the worker thread while this thread runs own(); return (job(), own()).
+
+    Both calls have finished when it returns or raises; an error in own() wins.
+    """
+    future = _WORKER.submit(job)
+    try:
+        mine = own()
+    finally:
+        future.exception()  # waits
+    return future.result(), mine
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -60,7 +91,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._backward = None
         self._parents: tuple = ()
         self.name = name
@@ -82,7 +113,19 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, grad: np.ndarray):
+    def _accumulate(self, grad, on_worker: bool = False):
+        """Add grad, an array or a function that computes one, into .grad.
+
+        Inside a backward, a large leaf's call is queued for the worker thread;
+        a function lets the product that makes its gradient run there too.
+        """
+        if not on_worker and self._backward is None and self.data.size >= LEAF_FLOOR:
+            jobs = _JOBS.get()
+            if jobs is not None:
+                jobs.append(_WORKER.submit(self._accumulate, grad, True))
+                return
+        if callable(grad):
+            grad = grad()
         # Out of place, since a backward rule may hand one array to several parents. A strided
         # view is copied to C order: BLAS may sum a strided operand in another order.
         if self.grad is None:
@@ -111,13 +154,21 @@ class Tensor:
                 for p in node._parents:
                     if id(p) not in seen:
                         stack.append((p, False))
-        self._accumulate(np.asarray(grad, dtype=np.float64))
-        while topo:  # a spent interior node drops its gradient, closure and parents at once
-            node = topo.pop()
-            if node._backward is not None:
-                if node.grad is not None:
-                    node._backward(node.grad)
-                node.grad, node._backward, node._parents = None, None, ()
+        jobs = []
+        token = _JOBS.set(jobs)
+        try:
+            self._accumulate(np.asarray(grad, dtype=np.float64))
+            while topo:  # a spent interior node drops its gradient, closure and parents at once
+                node = topo.pop()
+                if node._backward is not None:
+                    if node.grad is not None:
+                        node._backward(node.grad)
+                    node.grad, node._backward, node._parents = None, None, ()
+        finally:
+            _JOBS.reset(token)
+            errors = [e for e in (job.exception() for job in jobs) if e is not None]  # waits for each
+        if errors:
+            raise errors[0]
 
     # ---------------------------------------------------------------- operators
 
@@ -159,7 +210,7 @@ def _wrap(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -217,12 +268,15 @@ def matmul(a, b) -> Tensor:
             ga = _product(g, np.swapaxes(y, -1, -2))
             a._accumulate(_unbroadcast(ga, x.shape).reshape(a.data.shape))
         if b.requires_grad:
-            # a 2-D weight shared across a batch gets one 2-D product over the folded batch axes
-            if y.ndim == 2 and g.ndim > 2:
-                gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(x, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, y.shape).reshape(b.data.shape))
+            def grad_b():  # a large weight's product runs on the worker thread
+                # a 2-D weight shared across a batch gets one 2-D product over the folded batch axes
+                if y.ndim == 2 and g.ndim > 2:
+                    gb = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    gb = np.swapaxes(x, -1, -2) @ g
+                return _unbroadcast(gb, y.shape).reshape(b.data.shape)
+
+            b._accumulate(grad_b)
 
     return _make(data, (a, b), backward)
 
@@ -347,12 +401,15 @@ def take_slice(a, idx) -> Tensor:
 
     def backward(grad):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            if basic:
-                g[idx] = grad
-            else:
-                np.add.at(g, idx, grad)
-            a._accumulate(g)
+            def scatter():  # an embedding's runs on the worker thread
+                g = np.zeros_like(a.data)
+                if basic:
+                    g[idx] = grad
+                else:
+                    np.add.at(g, idx, grad)
+                return g
+
+            a._accumulate(scatter)
 
     return _make(data, (a,), backward)
 

@@ -14,6 +14,7 @@ without breaking the line-oriented file formats.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -23,6 +24,24 @@ import time
 from pathlib import Path
 
 CONFIG_ENV = "PUNCHGEN_CONFIG"
+M_ARENA_MAX = -8  # glibc mallopt parameter
+
+
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's main arena.
+
+    By default each thread gets an arena of its own, and memory freed in one
+    arena is not reused by another. Training's worker thread allocates the
+    gradients while the calling thread frees activations, so with two arenas
+    a paper-preset `train pretrain` (4 steps) peaked at 1,644 MB RSS against
+    1,459 MB with one, as much as one thread used.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
 
 
 def log_event(**fields) -> None:
@@ -174,8 +193,20 @@ def _load_splits(data_dir: str):
     )
 
 
-def _save_trained(stage: str, result, out: Path, cfg) -> None:
-    """Write `<stage>.best` and its sidecar, emit train.done and print the summary."""
+def _measured(train):
+    """Run train(); return its result and the wall, user and system seconds and the minor
+    page faults it took, over every thread of the process."""
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    result = train()
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return result, {"wall_s": wall, "user_s": after.ru_utime - before.ru_utime,
+                    "sys_s": after.ru_stime - before.ru_stime,
+                    "minor_faults": after.ru_minflt - before.ru_minflt}
+
+
+def _save_trained(stage: str, result, usage: dict, out: Path, cfg) -> None:
+    """Write `<stage>.best` and its sidecar, emit train.done with `usage` and print the summary."""
     from .model import save_checkpoint
 
     out.mkdir(parents=True, exist_ok=True)
@@ -185,7 +216,7 @@ def _save_trained(stage: str, result, out: Path, cfg) -> None:
     # ru_maxrss is in KiB on Linux
     log_event(event="train.done", stage=stage, steps_run=result.steps_run,
               best_val_loss=result.best_val_loss,
-              peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+              peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, **usage)
     say(f"{stage}: best valid loss {result.best_val_loss:.4f} "
         f"after {result.steps_run} steps -> {ckpt}")
 
@@ -209,8 +240,9 @@ def cmd_train_pretrain(args) -> int:
         tokenizer = train_tokenizer(texts, vocab_size=cfg.model.vocab_size)
         tokenizer.save(tok_path)
         log_event(event="tokenizer.trained", vocab_size=tokenizer.vocab_size, path=str(tok_path))
-    result = training.pretrain(split, cfg.model, cfg.train, tokenizer, log_fn=_train_logger())
-    _save_trained("pretrain", result, out, cfg)
+    result, usage = _measured(lambda: training.pretrain(split, cfg.model, cfg.train, tokenizer,
+                                                        log_fn=_train_logger()))
+    _save_trained("pretrain", result, usage, out, cfg)
     return 0
 
 
@@ -226,8 +258,8 @@ def cmd_train_finetune(args) -> int:
     cfg.model = model.cfg  # the checkpoint fixes the architecture; the sidecar records it
     fused = training.transplant(model, seed=cfg.train.seed)
     del model  # the plain weights are copied; fine-tune holds only the fused model
-    result = training.finetune(fused, split, cfg.train, log_fn=_train_logger())
-    _save_trained("finetune", result, Path(args.out), cfg)
+    result, usage = _measured(lambda: training.finetune(fused, split, cfg.train, log_fn=_train_logger()))
+    _save_trained("finetune", result, usage, Path(args.out), cfg)
     return 0
 
 
@@ -385,6 +417,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _one_malloc_arena()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -157,7 +157,7 @@ def evaluate_lines(hyps: list[str], refs: list[str]) -> RougeReport:
     if len(hyps) != len(refs):
         raise LineCountMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
     if not hyps:
-        return RougeReport(Score(0, 0, 0), Score(0, 0, 0), Score(0, 0, 0), 0)
+        return RougeReport(Score(0.0, 0.0, 0.0), Score(0.0, 0.0, 0.0), Score(0.0, 0.0, 0.0), 0)
     r1, r2, rl = _line_scores(hyps, refs)
     return RougeReport(r1.mean(), r2.mean(), rl.mean(), len(hyps))
 

@@ -60,10 +60,16 @@ class Adam:
     A step updates each tensor in slices of CHUNK elements through three
     scratch buffers, so the temporaries of its per-element formulas stay in
     cache; the formulas and their order are the textbook ones, element by
-    element, so the result does not depend on the slicing.
+    element, so the result does not depend on the slicing. From SPLIT_FLOOR
+    elements on, the tensors are cut into two runs of about equal size, one
+    for autograd's worker thread and one for the caller's, each with its own
+    scratch buffers. The squared gradient norms are summed in tensor order
+    either way, so the clipping and every update are the serial ones.
     """
 
     CHUNK = 1 << 15  # elements per slice: three float64 scratch slices are 768 KiB
+    # Total elements from which a step splits; the desk model (about 0.5M) stepped slower split.
+    SPLIT_FLOOR = 1 << 20
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, clip_norm: float | None = 1.0,
@@ -78,7 +84,7 @@ class Adam:
         else:
             self.m, self.v = {}, {}
             self.t = 0
-        self._scratch = np.empty((3, self.CHUNK))
+        self._scratch = []  # one (3, CHUNK) set per thread that has stepped
 
     def state(self) -> dict:
         return {"m": {k: v.copy() for k, v in self.m.items()},
@@ -91,27 +97,43 @@ class Adam:
         active when it exceeds clip_norm. Parameters without a gradient
         are treated as zero-gradient.
         """
-        total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.values() if p.grad is not None))
+        for name, p in params.items():
+            if name not in self.m:
+                self.m[name], self.v[name] = np.zeros(p.data.shape), np.zeros(p.data.shape)
+        items = list(params.items())
+        sizes = np.cumsum([p.data.size for _, p in items])
+        if sizes.size and sizes[-1] >= self.SPLIT_FLOOR:
+            cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1
+            runs = [items[:cut], items[cut:]]
+        else:
+            runs = [items]
+        while len(self._scratch) < len(runs):
+            self._scratch.append(np.empty((3, self.CHUNK)))
+        squares = [s for run in _per_run(lambda i, run: _squared_norms(run), runs) for s in run]
+        total = math.sqrt(sum(squares))
         scale = self.clip_norm / total if self.clip_norm is not None and total > self.clip_norm else None
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            m = self.m.setdefault(name, np.zeros(p.data.shape)).reshape(-1)
-            v = self.v.setdefault(name, np.zeros(p.data.shape)).reshape(-1)
+        _per_run(lambda i, run: self._update_run(run, self._scratch[i], scale, bc1, bc2), runs)
+        return total
+
+    def _update_run(self, items, scratch, scale, bc1, bc2) -> None:
+        for name, p in items:
+            m = self.m[name].reshape(-1)
+            v = self.v[name].reshape(-1)
             g = np.zeros(p.data.size) if p.grad is None else p.grad.reshape(-1)
             data = p.data if p.data.flags.c_contiguous else np.ascontiguousarray(p.data)
             flat = data.reshape(-1)
             for lo in range(0, flat.size, self.CHUNK):
                 hi = min(lo + self.CHUNK, flat.size)
-                self._update(flat[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], scale, bc1, bc2)
+                self._update(flat[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], scratch, scale, bc1, bc2)
             if data is not p.data:
                 p.data[...] = data
-        return total
 
-    def _update(self, data, m, v, g, scale, bc1, bc2) -> None:
+    def _update(self, data, m, v, g, scratch, scale, bc1, bc2) -> None:
         """data -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates, in place."""
-        a, b, c = (buf[:data.size] for buf in self._scratch)
+        a, b, c = (buf[:data.size] for buf in scratch)
         if scale is not None:
             g = np.multiply(g, scale, out=a)
         m *= self.beta1
@@ -125,6 +147,19 @@ class Adam:
         np.sqrt(b, out=b)
         b += self.eps
         data -= np.divide(c, b, out=c)
+
+
+def _squared_norms(items) -> list[float]:
+    """Each present gradient's squared norm, in order."""
+    return [float((p.grad * p.grad).sum()) for _, p in items if p.grad is not None]
+
+
+def _per_run(fn, runs: list) -> list:
+    """[fn(i, run) for i, run in enumerate(runs)] for one or two runs; of two, the first runs on
+    autograd's worker thread."""
+    if len(runs) == 1:
+        return [fn(0, runs[0])]
+    return list(ag.run_beside(lambda: fn(0, runs[0]), lambda: fn(1, runs[1])))
 
 
 def batch_loss(model: Model, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:

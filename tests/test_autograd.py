@@ -1,5 +1,9 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -313,3 +317,117 @@ class TestTapeMechanics:
         gpre = 2 * th * (1 - th * th)
         np.testing.assert_allclose(x.grad, gpre @ dw.T + 2.0, rtol=1e-12)
         np.testing.assert_allclose(w.grad, dx.T @ gpre, rtol=1e-12)
+
+
+class TestThreads:
+    def test_no_grad_is_per_thread(self):
+        """Overlapping no_grad blocks on two threads: A enters, B enters, A leaves, B leaves."""
+        x = ag.Tensor(np.ones(2), requires_grad=True)
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with ag.no_grad():
+                a_in.set()
+                b_in.wait(10)
+                seen["a_inside"] = (x * 2.0).requires_grad
+            a_out.set()
+            seen["a_after"] = (x * 2.0).requires_grad
+
+        def thread_b():
+            a_in.wait(10)
+            seen["b_before"] = (x * 2.0).requires_grad  # A's block must not stop B's tape
+            with ag.no_grad():
+                b_in.set()
+                a_out.wait(10)
+                seen["b_inside"] = (x * 2.0).requires_grad
+            seen["b_after"] = (x * 2.0).requires_grad
+
+        threads = [threading.Thread(target=thread_a), threading.Thread(target=thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"a_inside": False, "b_before": True, "b_inside": False,
+                        "a_after": True, "b_after": True}
+        assert (x * 2.0).requires_grad
+
+    @staticmethod
+    def leaf_grads():
+        """Gradients of two weights, a bias, a layer norm and an embedding after one backward."""
+        rng = np.random.default_rng(5)
+        emb = ag.Tensor(rng.normal(size=(7, 6)), requires_grad=True)
+        w1, w2 = (ag.Tensor(rng.normal(size=(6, 6)), requires_grad=True) for _ in range(2))
+        b = ag.Tensor(rng.normal(size=6), requires_grad=True)
+        g, beta = ag.Tensor(np.ones(6), requires_grad=True), ag.Tensor(np.zeros(6), requires_grad=True)
+        h = emb[np.array([[1, 4, 4], [0, 6, 1]])]
+        h = ag.layer_norm(ag.tanh(h @ w1 + b) @ w2 + h, g, beta)
+        ((h @ w1) * h).sum().backward()  # w1 twice: two contributions in tape order
+        return {"emb": emb.grad, "w1": w1.grad, "w2": w2.grad, "b": b.grad, "g": g.grad, "beta": beta.grad}
+
+    def test_worker_backward_is_bit_identical(self, monkeypatch):
+        serial = self.leaf_grads()
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        threaded = self.leaf_grads()
+        for k, want in serial.items():
+            np.testing.assert_array_equal(threaded[k], want, err_msg=k)
+
+    def test_concurrent_backwards_share_the_worker(self, monkeypatch):
+        """Four threads (more than the cores) run backwards at once through the one worker, with
+        a short switch interval; each gets the serial gradients every time."""
+        serial = self.leaf_grads()
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        mismatches = []
+
+        def run():
+            for _ in range(20):
+                got = self.leaf_grads()
+                mismatches.extend(k for k, want in serial.items() if not np.array_equal(got[k], want))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_worker_error_raises_after_every_job(self, monkeypatch):
+        """The first worker job fails late; backward raises only once every queued job has run,
+        and the next backward is correct."""
+        accumulate = ag.Tensor._accumulate
+        leaf_calls, worker_calls = [], []
+
+        def counting(self, grad, on_worker=False):
+            if self._backward is None:
+                leaf_calls.append(1)
+            return accumulate(self, grad, on_worker)
+
+        def flaky(self, grad, on_worker=False):
+            if on_worker:
+                assert threading.current_thread() is not threading.main_thread()
+                worker_calls.append(1)
+                if len(worker_calls) == 1:
+                    time.sleep(0.05)
+                    raise RuntimeError("worker failed")
+            return accumulate(self, grad, on_worker)
+
+        serial = self.leaf_grads()
+        monkeypatch.setattr(ag.Tensor, "_accumulate", counting)
+        self.leaf_grads()
+        monkeypatch.setattr(ag.Tensor, "_accumulate", flaky)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            self.leaf_grads()
+        # every leaf accumulation went to the worker, and all had run when backward raised
+        assert len(worker_calls) == len(leaf_calls) == 7
+        assert ag._WORKER._work_queue.empty()
+        again = self.leaf_grads()
+        for k, want in serial.items():
+            np.testing.assert_array_equal(again[k], want, err_msg=k)

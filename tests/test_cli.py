@@ -273,6 +273,9 @@ class TestTrainEvents:
         for e in done:
             assert e["steps_run"] == 2
             assert math.isfinite(e["best_val_loss"]) and e["peak_rss_mb"] > 0
+            assert e["wall_s"] > 0 and e["user_s"] + e["sys_s"] > 0
+            assert min(e["user_s"], e["sys_s"]) >= 0
+            assert isinstance(e["minor_faults"], int) and e["minor_faults"] >= 0
 
 
 class TestFlagChecks:
@@ -387,6 +390,18 @@ class TestEvaluateCli:
         assert done["rouge1"]["f1"] == pytest.approx(75.0)
         assert done["seconds"] > 0
         assert done["lines_per_s"] == pytest.approx(2 / done["seconds"])
+
+    def test_empty_files_report_float_scores(self, tmp_path, capsys):
+        hyps = tmp_path / "h.txt"
+        refs = tmp_path / "r.txt"
+        hyps.write_text("")
+        refs.write_text("")
+        assert run_cli("evaluate", "--hyps", str(hyps), "--refs", str(refs), "--json") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["n_lines"] == 0
+        for name in ("rouge1", "rouge2", "rougeL"):
+            for field in ("precision", "recall", "f1"):
+                assert type(data[name][field]) is float and data[name][field] == 0.0
 
     def test_line_mismatch_is_runtime_error(self, tmp_path):
         hyps = tmp_path / "h.txt"

@@ -5,7 +5,7 @@ import pytest
 
 from punchgen import autograd as ag
 from punchgen import training
-from punchgen.config import ModelConfig, TrainConfig
+from punchgen.config import ModelConfig, TrainConfig, preset
 from punchgen.corpus import DatasetSplit, JokeRecord
 from punchgen.model import Model, init_params, is_knowledge_only, load_checkpoint, save_checkpoint
 from punchgen.tokenizer import train_tokenizer
@@ -126,9 +126,16 @@ class TestAdam:
         opt.step({"p": p})
         np.testing.assert_array_equal(p.data, np.ones(2))
 
-    def test_blocked_step_equals_per_tensor_step(self):
+    def test_blocked_step_equals_per_tensor_step(self, monkeypatch):
         """Bit-equal to whole-tensor numpy Adam over several chunks, with clipping, a missing
-        gradient and a parameter whose data is not C-contiguous."""
+        gradient and a parameter whose data is not C-contiguous; on one thread, and split across
+        two ("big" and "odd" on the worker)."""
+        for split_floor in (math.inf, 0):
+            monkeypatch.setattr(Adam, "SPLIT_FLOOR", split_floor)
+            self.check_blocked_step()
+
+    @staticmethod
+    def check_blocked_step():
         lr, b1, b2, eps, clip = 0.01, 0.9, 0.999, 1e-8, 1.0
         rng = np.random.default_rng(2)
         shapes = {"big": (300, 250), "odd": (Adam.CHUNK + 7,), "none": (40, 3), "small": (5,)}
@@ -162,6 +169,15 @@ class TestAdam:
                     np.testing.assert_array_equal(p.grad, grads[k], err_msg=f"{k} grad written")
         assert params["none"].grad is None
 
+    def test_moments_are_allocated_once(self):
+        p = ag.Tensor(np.ones(3), requires_grad=True)
+        opt = Adam(0.1)
+        p.grad = np.ones(3)
+        opt.step({"p": p})
+        m, v = opt.m["p"], opt.v["p"]
+        opt.step({"p": p})
+        assert opt.m["p"] is m and opt.v["p"] is v
+
     def test_state_round_trip(self):
         rng = np.random.default_rng(1)
         p1 = ag.Tensor(np.ones(3), requires_grad=True)
@@ -178,6 +194,39 @@ class TestAdam:
         opt1.step({"p": p1})
         opt2.step({"p": p2})
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+class TestTwoThreads:
+    """Leaf gradients on autograd's worker thread and the split Adam step are bit-identical to the
+    serial ones: a floor of 0 sends every leaf and step there, a floor of infinity none."""
+
+    @staticmethod
+    def fused_desk_run(floor, monkeypatch):
+        monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
+        monkeypatch.setattr(Adam, "SPLIT_FLOOR", floor)
+        cfg = preset("desk").model
+        tok = train_tokenizer([r.full_text() for r in TRIPLED] + [" ".join(t) for r in TRIPLED for t in r.triples],
+                              vocab_size=300)
+        rng = np.random.default_rng(3)
+        model = Model(init_params(rng, cfg, tok.vocab_size, fused=True), cfg, tok, fused=True)
+        batch = prepare_examples(TRIPLED, tok, cfg)
+        loss, _ = training.batch_loss(model, batch, dropout_rng=rng)
+        loss.backward()
+        grads = {k: p.grad.copy() for k, p in model.params.items()}
+        opt = Adam(1e-3, clip_norm=1e-3)
+        norms = [opt.step(model.params)]
+        for _ in range(2):
+            norms.append(train_step(model, batch, opt, rng)[2])
+        assert min(norms) > 1e-3  # every step was clipped
+        return grads, {k: p.data for k, p in model.params.items()}, opt.m, opt.v
+
+    def test_gradients_weights_and_moments_are_bit_identical(self, monkeypatch):
+        serial = self.fused_desk_run(math.inf, monkeypatch)
+        threaded = self.fused_desk_run(0, monkeypatch)
+        for what, want, got in zip(("grad", "weights", "m", "v"), serial, threaded):
+            assert list(got) == list(want)
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k], err_msg=f"{what} {k}")
 
 
 class TestPrepareExamples:
