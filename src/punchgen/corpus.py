@@ -72,11 +72,18 @@ class JokeRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JokeRecord":
-        return cls(
-            setup=obj["setup"],
-            punchline=obj["punchline"],
-            triples=[tuple(t) for t in obj.get("triples", [])],
-        )
+        """The record of a `to_json` dict; a missing or malformed field raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a record is a JSON object, not {type(obj).__name__}")
+        for name in ("setup", "punchline"):
+            if not isinstance(obj.get(name), str):
+                raise ValueError(f"{name!r} is missing or not a string")
+        triples = obj.get("triples", [])
+        if not isinstance(triples, list) or not all(
+                isinstance(t, list) and len(t) == 3 and all(isinstance(x, str) for x in t)
+                for t in triples):
+            raise ValueError(f"'triples' is not a list of 3-string triples: {triples!r}")
+        return cls(setup=obj["setup"], punchline=obj["punchline"], triples=[tuple(t) for t in triples])
 
     def full_text(self) -> str:
         return f"{self.setup} {self.punchline}"
@@ -270,12 +277,16 @@ def write_jsonl(records: list[JokeRecord], path: str | Path) -> None:
 
 
 def read_jsonl(path: str | Path) -> list[JokeRecord]:
+    """The records of a JSON-lines file; a malformed line raises ValueError naming path:line."""
     records = []
     with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(JokeRecord.from_json(json.loads(line)))
+                try:
+                    records.append(JokeRecord.from_json(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{n}: {exc}") from exc
     return records
 
 

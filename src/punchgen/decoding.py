@@ -1,8 +1,9 @@
 """Beam-search punchline generation.
 
 The search itself is generic over a step function mapping a batch of
-equal-length token prefixes to next-token log-probabilities, one row per
-prefix, so toy models plug in directly and a search step is one call.
+equal-length token prefixes, and each one's parent row in the previous call,
+to next-token log-probabilities, one row per prefix, so toy models plug in
+directly and a search step is one call.
 Hypotheses rank by total log-probability during the search; the final
 winner is chosen by length-normalized score (total / generated tokens)
 unless raw-score ranking is requested.
@@ -37,29 +38,32 @@ def beam_search(step_fn, bos_id: int, eos_id: int, beam: int = 5, max_len: int =
                 length_normalize: bool = True) -> BeamHypothesis:
     """Generic beam search over next-token log-probability distributions.
 
-    step_fn maps the live hypotheses' tokens, one (k, t) int array, to (k, vocab)
-    next-token log-probabilities. Finished hypotheses are never extended; the search
-    stops when every beam has finished or max_len tokens were generated.
+    step_fn(prefixes, parents) maps the live hypotheses' tokens, one (k, t) int array, to (k, vocab)
+    next-token log-probabilities. `parents` is None on the first call, then each row's row in the
+    previous call. Finished hypotheses are never extended; the search stops when every beam has
+    finished or max_len tokens were generated.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     beams = [BeamHypothesis(tokens=[bos_id])]
+    parents = None
     for _ in range(max_len):
         live = [h for h in beams if not h.finished]
         if not live:
             break
-        logp = step_fn(np.array([h.tokens for h in live], dtype=np.intp))
+        logp = step_fn(np.array([h.tokens for h in live], dtype=np.intp), parents)
         top = np.argsort(logp, axis=-1)[:, ::-1][:, :beam]
-        candidates = [h for h in beams if h.finished]
-        for hyp, row, toks in zip(live, logp, top):
+        candidates = [(h, -1) for h in beams if h.finished]
+        for parent, (hyp, row, toks) in enumerate(zip(live, logp, top)):
             for tok in toks:
-                candidates.append(BeamHypothesis(
+                candidates.append((BeamHypothesis(
                     tokens=hyp.tokens + [int(tok)],
                     logprob=hyp.logprob + float(row[tok]),
                     finished=int(tok) == eos_id,
-                ))
-        candidates.sort(key=lambda h: h.logprob, reverse=True)
-        beams = candidates[:beam]
+                ), parent))
+        candidates.sort(key=lambda c: c[0].logprob, reverse=True)
+        beams = [h for h, _ in candidates[:beam]]
+        parents = np.array([p for h, p in candidates[:beam] if not h.finished], dtype=np.intp)
     for hyp in beams:
         hyp.finished = True  # length cutoff counts as finished
     return max(beams, key=lambda h: h.score(length_normalize))
@@ -69,7 +73,12 @@ def model_step_fn(model: Model, memory: ag.Tensor, knowledge: ag.Tensor | None):
     """The step function of one record: a decoder cache carries each call's positions to the next."""
     cache = DecoderCache()
 
-    def step(prefixes: np.ndarray) -> np.ndarray:
+    def step(prefixes: np.ndarray, parents: np.ndarray | None) -> np.ndarray:
+        if parents is None:
+            cache.past.clear()
+        else:
+            cache.select(parents)
+            prefixes = prefixes[:, -1:]
         with ag.no_grad():
             dist = model.decode_step(prefixes, memory, knowledge, cache)
         with np.errstate(divide="ignore"):

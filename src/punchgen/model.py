@@ -45,7 +45,7 @@ from .tokenizer import Tokenizer
 CHECKPOINT_VERSION = 3
 
 
-class LengthError(Exception):
+class LengthError(ValueError):
     """Input longer than the configured maximum."""
 
 
@@ -168,19 +168,21 @@ class DecoderCache:
 
     `past` maps each self-attention to its (K, V) over the positions decoded so far, each
     (rows, heads, t, d_head). `fixed` maps each cross-attention and fusion to the (K, V) of
-    the set-up or knowledge, projected on first use. `rows` maps each prefix of the last
-    `Model.decode_step` call, as a tuple of ids, to its row.
+    the set-up or knowledge, projected on first use.
     """
 
     def __init__(self):
         self.past: dict[str, tuple] = {}
         self.fixed: dict[str, tuple] = {}
-        self.rows: dict[tuple, int] = {}
 
     @property
     def length(self) -> int:
         """Positions decoded so far."""
         return next(iter(self.past.values()))[0].shape[-2] if self.past else 0
+
+    def select(self, rows) -> None:
+        """Keep the past of `rows`, in their order; a row may repeat or drop out."""
+        self.past = {name: (k[rows], v[rows]) for name, (k, v) in self.past.items()}
 
     def keys_values(self, name: str, project) -> tuple:
         """(K, V) of decoder attention `name`, given `project()`, the keys and values of its new input.
@@ -380,28 +382,13 @@ class Model:
                     cache: DecoderCache | None = None) -> np.ndarray:
         """Next-token distribution (sums to 1) after a prefix (t,), or one row per prefix of (k, t).
 
-        A `cache` serves one memory and knowledge across calls. When every prefix's
-        parent (the prefix less its last token) was a prefix of the last call, each
-        row runs its new token only; otherwise every row runs its whole prefix from
-        an emptied cache.
+        With a `cache`, prefix_ids are the positions after the cached ones, as in `decode_states`;
+        only a prefix from the first position begins with BOS.
         """
         ids = np.asarray(prefix_ids, dtype=np.intp)
-        if ids.shape[-1] == 0 or np.any(ids[..., 0] != self.tokenizer.bos_id):
+        if not (cache and cache.length) and (not ids.shape[-1] or np.any(ids[..., 0] != self.tokenizer.bos_id)):
             raise ValueError("prefix must begin with BOS")
-        if cache is None:
-            states = self.decode_states(ids, memory, knowledge)
-        else:
-            rows = ids.reshape(-1, ids.shape[-1])
-            prefixes = [tuple(r) for r in rows.tolist()]
-            parents = [cache.rows.get(q[:-1]) for q in prefixes]
-            if None in parents:
-                cache.past.clear()
-            else:
-                cache.past = {name: (k[parents], v[parents]) for name, (k, v) in cache.past.items()}
-                rows = rows[:, -1:]
-            states = self.decode_states(rows, memory, knowledge, cache=cache)
-            states = states.reshape(ids.shape[:-1] + states.shape[-2:])
-            cache.rows = {q: i for i, q in enumerate(prefixes)}
+        states = self.decode_states(ids, memory, knowledge, cache=cache)
         return ag.softmax(self.logits(states[..., -1, :]), axis=-1).data
 
     # -------------------------------------------------------------------- loss

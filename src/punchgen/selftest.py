@@ -306,7 +306,7 @@ _TOY_TABLE = {
 _TOY_DEFAULT = np.array([0.980, 0.010, 0.010])
 
 
-def _toy_step(prefixes):
+def _toy_step(prefixes, parents=None):
     return np.log([_TOY_TABLE.get(tuple(p[1:]), _TOY_DEFAULT) for p in np.asarray(prefixes).tolist()])
 
 
@@ -326,7 +326,7 @@ def check_beam_greedy(n_contexts: int = 50):
         best = beam_search(step, tok.bos_id, tok.eos_id, beam=1, max_len=6)
         greedy = [tok.bos_id]
         for _ in range(6):
-            nxt = int(np.argmax(step(np.array([greedy]))[0]))
+            nxt = int(np.argmax(step(np.array([greedy]), None if len(greedy) == 1 else [0])[0]))
             greedy.append(nxt)
             if nxt == tok.eos_id:
                 break

@@ -301,6 +301,21 @@ class TestIO:
         lines = path.read_text().strip().split("\n")
         assert json.loads(lines[0])["triples"] == [["s", "r", "o"]]
 
+    @pytest.mark.parametrize("line,problem", [
+        ('{"punchline": "p."}', "'setup' is missing or not a string"),
+        ('{"setup": "s,", "punchline": 3}', "'punchline' is missing or not a string"),
+        ('{"setup": "s,", "punchline": "p.", "triples": [["a", "b"]]}', "'triples' is not a list"),
+        ('{"setup": "s,", "punchline": "p.", "triples": [["a", "b", 1]]}', "'triples' is not a list"),
+        ('{"setup": "s,", "punchline": "p.", "triples": "a b c"}', "'triples' is not a list"),
+        ('["s,", "p."]', "a record is a JSON object, not list"),
+        ('{"setup": "s,"', "Expecting"),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, line, problem):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"setup": "s,", "punchline": "p."}\n\n' + line + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {problem}")):
+            corpus.read_jsonl(path)
+
     def test_read_plain_lines(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text("first joke here.\n\nsecond joke here.\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -33,8 +34,8 @@ TOY_TABLE = {
 TOY_DEFAULT = np.array([0.980, 0.010, 0.010])
 
 
-def toy_step(prefixes):
-    """Batched contract: (k, t) prefixes -> (k, 3) log-probabilities."""
+def toy_step(prefixes, parents=None):
+    """Batched contract: (k, t) prefixes -> (k, 3) log-probabilities; parents are ignored."""
     return np.log([TOY_TABLE.get(tuple(p[1:]), TOY_DEFAULT) for p in np.asarray(prefixes).tolist()])
 
 
@@ -90,7 +91,7 @@ class TestToyBeam:
             beam_search(toy_step, TOY_BOS, TOY_EOS, beam=0)
 
     def test_max_len_forces_termination(self):
-        never_end = lambda prefixes: np.log(np.tile([1e-9, 0.5, 0.5 - 1e-9], (len(prefixes), 1)))
+        never_end = lambda prefixes, parents: np.log(np.tile([1e-9, 0.5, 0.5 - 1e-9], (len(prefixes), 1)))
         best = beam_search(never_end, TOY_BOS, TOY_EOS, beam=2, max_len=5)
         assert best.finished and len(best.tokens) == 6
 
@@ -98,7 +99,7 @@ class TestToyBeam:
     def test_one_step_call_per_search_step(self, beam, max_len):
         calls = []
 
-        def counting_step(prefixes):
+        def counting_step(prefixes, parents):
             calls.append(np.asarray(prefixes).shape)
             return toy_step(prefixes)
 
@@ -107,6 +108,23 @@ class TestToyBeam:
         # call i carries every live prefix of search step i, each i + 1 tokens long
         assert [t for _, t in calls] == list(range(1, len(calls) + 1))
         assert all(1 <= k <= beam for k, _ in calls)
+
+    @pytest.mark.parametrize("beam", range(1, 9))
+    def test_parents_name_each_rows_previous_row(self, beam):
+        calls = []
+        rng = np.random.default_rng(beam)
+
+        def recording_step(prefixes, parents):
+            calls.append((prefixes.copy(), parents))
+            return np.log(rng.dirichlet(np.ones(4), size=len(prefixes)))  # EOS and 3 tokens
+
+        beam_search(recording_step, TOY_BOS, TOY_EOS, beam=beam, max_len=6)
+        assert calls[0][1] is None
+        for (previous, _), (prefixes, parents) in zip(calls, calls[1:]):
+            assert parents.shape == prefixes.shape[:1]
+            np.testing.assert_array_equal(prefixes[:, :-1], previous[parents])
+        # hypotheses finished early: some call has fewer rows than the beam can fill, or the search stopped
+        assert len(calls) < 6 or any(len(p) < min(beam, 4 ** i) for i, (p, _) in enumerate(calls))
 
 
 def reference_decode(model, rec, beam, max_len):
@@ -155,7 +173,7 @@ class TestModelBeam:
             best = beam_search(step, tok.bos_id, tok.eos_id, beam=1, max_len=8)
             greedy = [tok.bos_id]
             for _ in range(8):
-                nxt = int(np.argmax(step(np.array([greedy]))[0]))
+                nxt = int(np.argmax(step(np.array([greedy]), None if len(greedy) == 1 else [0])[0]))
                 greedy.append(nxt)
                 if nxt == tok.eos_id:
                     break
@@ -202,7 +220,7 @@ def encode_record(model, rec):
 
 def uncached_step_fn(model, memory, knowledge):
     """model_step_fn without the decoder cache: every call runs every prefix in full."""
-    def step(prefixes):
+    def step(prefixes, parents):
         with ag.no_grad():
             dist = model.decode_step(prefixes, memory, knowledge)
         with np.errstate(divide="ignore"):
@@ -240,14 +258,14 @@ class TestDecoderCache:
         monkeypatch.setattr(desk, "decode_states", counting_states)
         for rec in REFERENCE_RECORDS:
             memory, knowledge = encode_record(desk, rec)
-            cache = DecoderCache()
+            cached = model_step_fn(desk, memory, knowledge)
 
-            def step(prefixes):
+            def step(prefixes, parents):
+                got = cached(prefixes, parents)
                 with ag.no_grad():
-                    got = desk.decode_step(prefixes, memory, knowledge, cache)
                     want = desk.decode_step(prefixes, memory, knowledge)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-                return np.log(got)
+                np.testing.assert_allclose(np.exp(got), want, rtol=0, atol=1e-12)
+                return got
 
             widths.clear()
             beam_search(step, tok.bos_id, tok.eos_id, beam=5, max_len=12)
@@ -257,24 +275,26 @@ class TestDecoderCache:
             assert widths[0::2] == [1] * steps
             assert widths[1::2] == list(range(1, steps + 1))
 
-    def test_uncached_parents_fall_back_to_a_full_pass(self, desk):
-        tok = desk.tokenizer
+    def test_select_swaps_repeats_and_drops_rows(self, desk):
         memory, knowledge = encode_record(desk, REFERENCE_RECORDS[2])
+        bos = desk.tokenizer.bos_id
+        prefixes = np.array([[bos, 5, 6], [bos, 7, 8], [bos, 9, 4]])
         cache = DecoderCache()
-        bos = tok.bos_id
-        for prefixes, cached_length in (
-            ([[bos, 5, 6], [bos, 7, 8]], 3),              # an empty cache
-            ([[bos, 5, 6, 9], [bos, 9, 9, 9]], 4),        # one parent cached, one not
-            ([[bos, 9, 9, 9, 4], [bos, 5, 6, 9, 4]], 5),  # both parents cached, rows swapped
-            ([[bos, 5, 6]], 3),                           # a shorter prefix
-            ([bos, 5, 6, 10], 4),                         # one prefix (t,) extends the last row
-        ):
+        with ag.no_grad():
+            desk.decode_step(prefixes, memory, knowledge, cache)
+        for rows, new in (([2, 0, 1], [10, 11, 12]),   # rows swapped
+                          ([1, 1, 0, 2], [4, 5, 6, 7]),  # a row repeated
+                          ([3, 0], [8, 9]),              # rows dropped
+                          ([1], [5])):                   # one row left
+            cache.select(rows)
+            assert cache.length == prefixes.shape[1]
+            prefixes = np.column_stack([prefixes[rows], new])
             with ag.no_grad():
-                got = desk.decode_step(prefixes, memory, knowledge, cache)
+                got = desk.decode_step(prefixes[:, -1:], memory, knowledge, cache)
                 want = desk.decode_step(prefixes, memory, knowledge)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            assert cache.length == cached_length
+            assert cache.length == prefixes.shape[1]
 
 
 class TestGenerateFile:
@@ -316,3 +336,14 @@ def test_setup_without_tokens_is_named(tmp_path):
     write_jsonl([JokeRecord("the dog chewed the remote,", "x."), JokeRecord("", "x.")], path)
     with pytest.raises(ValueError, match=r"record 2: set-up encodes to no tokens"):
         generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=4)
+
+
+def test_prefix_over_max_len_is_named(tmp_path):
+    cfg = dataclasses.replace(TINY, max_len=8)
+    tok = train_tokenizer(TEXTS, vocab_size=300)
+    model = Model(init_params(np.random.default_rng(3), cfg, tok.vocab_size, fused=True), cfg, tok, fused=True)
+    path = tmp_path / "test.jsonl"
+    write_jsonl([JokeRecord("the cat sat,", "x.")], path)
+    assert generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=7) == 1
+    with pytest.raises(ValueError, match=r"record 1: prefix has 9 tokens, max is 8"):
+        generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=9)
