@@ -12,7 +12,8 @@ of an embedding lookup and every accumulation into that leaf, in tape
 order, while the calling thread walks the tape through the activations.
 Each leaf's contributions are summed on one thread in the serial order, so
 gradients are bit-identical to a serial backward. `run_beside` lends the
-same worker to other code (the optimizer).
+same worker to other code (the optimizer, generation). The worker never
+queues work for itself: there, a backward and `run_beside` run inline.
 
 All data is kept in float64 so finite-difference gradient checks are
 meaningful at tight tolerances.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,7 +32,19 @@ import numpy as np
 # Elements; a smaller leaf's gradient work stays on the calling thread. Handing off the
 # desk preset's leaves (at most 58,688 elements) cost more than it saved.
 LEAF_FLOOR = 1 << 17
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autograd")
+_worker_ident = None
+
+
+def _name_worker() -> None:
+    global _worker_ident
+    _worker_ident = threading.get_ident()
+
+
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autograd", initializer=_name_worker)
+
+
+def _on_worker() -> bool:
+    return threading.get_ident() == _worker_ident
 
 
 # Per-thread state: every thread starts from the defaults. A context variable is read in a
@@ -52,9 +66,13 @@ def no_grad():
 def run_beside(job, own):
     """Run job() on the worker thread while this thread runs own(); return (job(), own()).
 
-    Both calls have finished when it returns or raises; an error in own() wins.
+    job() sees this thread's context variables (grad mode included). Both calls have
+    finished when it returns or raises; an error in own() wins. On the worker itself,
+    job() and then own() run inline.
     """
-    future = _WORKER.submit(job)
+    if _on_worker():
+        return job(), own()
+    future = _WORKER.submit(contextvars.copy_context().run, job)
     try:
         mine = own()
     finally:
@@ -155,7 +173,7 @@ class Tensor:
                     if id(p) not in seen:
                         stack.append((p, False))
         jobs = []
-        token = _JOBS.set(jobs)
+        token = _JOBS.set(None if _on_worker() else jobs)
         try:
             self._accumulate(np.asarray(grad, dtype=np.float64))
             while topo:  # a spent interior node drops its gradient, closure and parents at once

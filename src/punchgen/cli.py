@@ -44,6 +44,24 @@ def _one_malloc_arena() -> None:
     mallopt(M_ARENA_MAX, 1)
 
 
+def _one_blas_thread() -> None:
+    """Have numpy's bundled OpenBLAS run every product on the calling thread.
+
+    Its default is one thread per core, so the program's own two threads
+    (the caller and autograd's worker) would put four BLAS threads on a
+    2-core machine; and at the paper preset two BLAS threads gave other
+    training losses than one. A numpy built on another BLAS is left as it is.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):  # another numpy or BLAS
+        return
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    set_threads(1)
+
+
 def log_event(**fields) -> None:
     print(json.dumps(fields), file=sys.stderr)
 
@@ -264,7 +282,7 @@ def cmd_train_finetune(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .decoding import generate_file
+    from .decoding import decode_threads, generate_file
     from .model import load_checkpoint
 
     cfg = _load_run_config(args)
@@ -284,7 +302,7 @@ def cmd_generate(args) -> int:
     seconds = time.perf_counter() - start
     _write_meta(out, "generate", cfg)
     log_event(event="generate.done", records=n, beam=cfg.beam, seconds=seconds,
-              records_per_s=n / seconds)
+              records_per_s=n / seconds, decode_threads=decode_threads(model, n))
     say(f"generated {n} punchlines -> {out}")
     return 0
 
@@ -418,6 +436,7 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     _one_malloc_arena()
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

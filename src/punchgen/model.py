@@ -29,8 +29,8 @@ plain pretrained checkpoint.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -432,7 +432,11 @@ class Model:
 
 def save_checkpoint(path: str | Path, model: Model, step: int = 0, opt_state: dict | None = None,
                     rng_state: dict | None = None) -> None:
-    """Single-file checkpoint: JSON manifest + named float64 tensors (npz), Adam moments included."""
+    """Single-file checkpoint: JSON manifest + named float64 tensors (npz), Adam moments included.
+
+    The file is streamed to a temporary file beside `path`, then renamed over it, so a failed
+    or interrupted save leaves the previous checkpoint in place.
+    """
     manifest = {
         "format_version": CHECKPOINT_VERSION,
         "fused": model.fused,
@@ -447,9 +451,15 @@ def save_checkpoint(path: str | Path, model: Model, step: int = 0, opt_state: di
     if opt_state:
         arrays.update({f"adam_m.{k}": v for k, v in opt_state["m"].items()})
         arrays.update({f"adam_v.{k}": v for k, v in opt_state["v"].items()})
-    buf = io.BytesIO()
-    np.savez(buf, manifest=np.array(json.dumps(manifest)), **arrays)
-    Path(path).write_bytes(buf.getvalue())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(fh, manifest=np.array(json.dumps(manifest)), **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[Model, dict | None, int, dict | None]:

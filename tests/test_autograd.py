@@ -431,3 +431,35 @@ class TestThreads:
         again = self.leaf_grads()
         for k, want in serial.items():
             np.testing.assert_array_equal(again[k], want, err_msg=k)
+
+    @staticmethod
+    def bounded(fn, seconds=30):
+        """fn() on a helper thread, failing the test if it has not returned in time."""
+        out = []
+        helper = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+        helper.start()
+        helper.join(seconds)
+        assert not helper.is_alive(), "deadlocked"
+        return out[0]
+
+    def test_run_beside_lends_the_caller_context(self):
+        def grad_mode():
+            return ag.Tensor(np.ones(2), requires_grad=True).requires_grad
+
+        assert ag.run_beside(grad_mode, grad_mode) == (True, True)
+        with ag.no_grad():
+            assert ag.run_beside(grad_mode, grad_mode) == (False, False)
+
+    def test_the_worker_never_waits_for_itself(self, monkeypatch):
+        """run_beside and a backward reached from a worker job run inline there."""
+        def names():
+            return threading.current_thread().name
+
+        nested, caller = self.bounded(lambda: ag.run_beside(lambda: ag.run_beside(names, names), names))
+        worker = nested[0]
+        assert nested == (worker, worker) and worker.startswith("autograd") and caller != worker
+        serial = self.leaf_grads()
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        on_worker, _ = self.bounded(lambda: ag.run_beside(self.leaf_grads, lambda: None))
+        for k, want in serial.items():
+            np.testing.assert_array_equal(on_worker[k], want, err_msg=k)

@@ -162,11 +162,61 @@ class TestGenerateFlags:
         assert done["event"] == "generate.done" and done["records"] == 1 and done["beam"] == 2
         assert done["seconds"] > 0
         assert done["records_per_s"] == pytest.approx(1 / done["seconds"])
+        assert done["decode_threads"] == 1
+
+    @pytest.mark.parametrize("records,floor,threads", [(3, None, 1), (1, 0, 1), (3, 0, 2)])
+    def test_done_event_counts_decode_threads(self, paths, capsys, monkeypatch, records, floor, threads):
+        """Records are shared between two threads when there are several and the model reaches
+        autograd's LEAF_FLOOR."""
+        from punchgen import autograd as ag
+        from punchgen.corpus import JokeRecord, write_jsonl
+
+        write_jsonl([JokeRecord(f"the cat sat {i}.", "on the mat") for i in range(records)], paths[1])
+        if floor is not None:
+            monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
+        assert self.generate(paths, "--max-len", "4", "--beam", "2") == 0
+        done = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (done["event"], done["records"], done["decode_threads"]) == ("generate.done", records, threads)
 
     def test_zero_beam_is_usage_error(self, paths, capsys):
         assert self.generate(paths, "--max-len", "4", "--beam", "0") == 1
         assert "--beam must be at least 1" in capsys.readouterr().err
         assert not paths[2].exists()
+
+
+def _openblas(name: str):
+    """A function of numpy's bundled OpenBLAS, or None when numpy uses another library."""
+    import ctypes
+
+    from numpy._core import _multiarray_umath
+
+    return getattr(ctypes.CDLL(_multiarray_umath.__file__), name, None)
+
+
+class TestOneBlasThread:
+    def test_main_sets_one_openblas_thread(self):
+        if _openblas("scipy_openblas_get_num_threads64_") is None:
+            pytest.skip("numpy does not bundle scipy-openblas")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from test_cli import _openblas; "
+                "from punchgen import cli; get = _openblas('scipy_openblas_get_num_threads64_'); "
+                "cli.main(['evaluate']); print(get())")
+        proc = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                              capture_output=True, text=True,
+                              env={**subprocess_env(), "OPENBLAS_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"]
+
+    def test_generate_bytes_do_not_depend_on_openblas_threads(self, paths):
+        ckpt, records, out = paths
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-m", "punchgen.cli", "generate", "--ckpt", str(ckpt),
+                                   "--input", str(records), "--output", str(out), "--beam", "3", "--max-len", "8"],
+                                  capture_output=True, text=True,
+                                  env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestSidecarRecordsWhatRan:

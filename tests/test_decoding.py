@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -347,3 +350,144 @@ def test_prefix_over_max_len_is_named(tmp_path):
     assert generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=7) == 1
     with pytest.raises(ValueError, match=r"record 1: prefix has 9 tokens, max is 8"):
         generate_file(path, model, tmp_path / "hyps.txt", beam=2, max_len=9)
+
+
+def two_thread_records(n):
+    """n records, every other one with triples."""
+    return [JokeRecord(f"the cat sat on the mat {i},", f"punch {i}.",
+                       [("cat", "sits on", "mat")] if i % 2 == 0 else []) for i in range(n)]
+
+
+class TestTwoThreads:
+    """generate_file with autograd.LEAF_FLOOR at 0, so that every model shares its records."""
+
+    @staticmethod
+    def steer(monkeypatch, first):
+        """Make `first` ("caller" or "worker") take record 1 and the other thread record 2; return
+        the list of (record set-up, thread name) that decode_record calls append to.
+
+        The other thread starts once `first` has taken its record, and each thread's first
+        decode_record waits until both have taken one; then `first` waits 50 ms more, so that
+        record 1 finishes, or fails, after record 2.
+        """
+        decode, run_beside = decoding.decode_record, ag.run_beside
+        calls, both = [], threading.Barrier(2, timeout=10)
+        first_took = threading.Event()
+
+        def steered_decode(model, rec, **options):
+            name = threading.current_thread().name
+            is_first = (threading.current_thread() is threading.main_thread()) == (first == "caller")
+            calls.append((rec.setup, name))
+            if is_first:
+                first_took.set()
+            if [n for _, n in calls].count(name) == 1:
+                both.wait()
+                if is_first:
+                    time.sleep(0.05)
+            return decode(model, rec, **options)
+
+        def steered_run_beside(job, own):
+            def later(fn):
+                def run():
+                    assert first_took.wait(10)
+                    return fn()
+                return run
+
+            return run_beside(*((job, later(own)) if first == "worker" else (later(job), own)))
+
+        monkeypatch.setattr(decoding, "decode_record", steered_decode)
+        monkeypatch.setattr(ag, "run_beside", steered_run_beside)
+        return calls
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_output_is_byte_identical_to_serial(self, model, tmp_path, monkeypatch, n):
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(two_thread_records(n), inp)
+        assert decoding.decode_threads(model, n) == 1
+        assert generate_file(inp, model, tmp_path / "serial.txt", beam=3, max_len=8) == n
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        assert decoding.decode_threads(model, n) == min(n, 2)
+        calls = self.steer(monkeypatch, "caller") if n > 1 else []
+        assert generate_file(inp, model, tmp_path / "shared.txt", beam=3, max_len=8) == n
+        assert (tmp_path / "shared.txt").read_bytes() == (tmp_path / "serial.txt").read_bytes()
+        if n > 1:  # each record decoded once, and both threads decoded some
+            assert sorted(setup for setup, _ in calls) == sorted(r.setup for r in two_thread_records(n))
+            assert len({name for _, name in calls}) == 2
+
+    @pytest.mark.parametrize("first", ["caller", "worker"])
+    def test_failing_record_is_named_on_either_thread(self, model, tmp_path, monkeypatch, first):
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.txt"
+        write_jsonl([JokeRecord("the cat sat,", "x."), JokeRecord("", "y.")]
+                    + [JokeRecord(f"a dog ran {i},", "z.") for i in range(2)], inp)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        calls = self.steer(monkeypatch, first)
+        with pytest.raises(ValueError, match=r"in.jsonl, record 2: set-up encodes to no tokens"):
+            generate_file(inp, model, out, beam=2, max_len=6)
+        bad_thread = dict(calls)[""]
+        assert bad_thread.startswith("autograd") == (first == "caller")
+        # record 2 failed while record 1 ran; the thread of record 1 then started no record
+        assert len(calls) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first", ["caller", "worker"])
+    def test_two_failing_records_name_the_lower(self, model, tmp_path, monkeypatch, first):
+        inp = tmp_path / "in.jsonl"
+        write_jsonl([JokeRecord("", "x."), JokeRecord("", "y."), JokeRecord("the cat sat,", "z.")], inp)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        calls = self.steer(monkeypatch, first)
+        with pytest.raises(ValueError, match=r"record 1: set-up encodes to no tokens"):
+            generate_file(inp, model, tmp_path / "out.txt", beam=2, max_len=6)
+        assert len(calls) == 2  # once both had failed, no thread started record 3
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_desk_model_decodes_on_the_calling_thread(self, tmp_path, monkeypatch):
+        desk = desk_model(seed=1, fused=True)
+        assert decoding.decode_threads(desk, 3) == 1
+        decode, threads = decoding.decode_record, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(decoding, "decode_record", recording)
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(two_thread_records(3), inp)
+        assert generate_file(inp, desk, tmp_path / "out.txt", beam=2, max_len=6) == 3
+        assert threads == [threading.main_thread()] * 3
+
+    def test_concurrent_calls_share_the_worker(self, model, tmp_path, monkeypatch):
+        """Four threads (more than the cores) generate at once through the one worker, with a
+        short switch interval; each writes the serial output, every record decoded once."""
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(two_thread_records(6), inp)
+        generate_file(inp, model, tmp_path / "serial.txt", beam=2, max_len=6)
+        want = (tmp_path / "serial.txt").read_bytes()
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        decode, calls = decoding.decode_record, []
+
+        def counting(model, rec, **options):
+            calls.append(rec.setup)
+            return decode(model, rec, **options)
+
+        monkeypatch.setattr(decoding, "decode_record", counting)
+        outputs = []
+
+        def run(k):
+            for r in range(5):
+                out = tmp_path / f"out{k}.{r}.txt"
+                generate_file(inp, model, out, beam=2, max_len=6)
+                outputs.append(out.read_bytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outputs == [want] * 20
+        assert sorted(calls) == sorted(r.setup for r in two_thread_records(6) for _ in range(20))

@@ -422,6 +422,49 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_checkpoint(path)
 
+    def test_failed_save_keeps_the_previous_checkpoint(self, fused, tmp_path, monkeypatch):
+        """A save whose disk fills after 4 KiB leaves the old file loadable and no temporary
+        file behind."""
+        from pathlib import Path
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, fused, step=1)
+        before = path.read_bytes()
+        real_open = Path.open
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.room = fh, 4096
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                if len(data) > self.room:
+                    self.fh.write(data[: self.room])
+                    raise OSError(28, "No space left on device")
+                self.room -= len(data)
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(Path, "open", lambda self, mode="r", *a, **kw: (
+            FullDisk(real_open(self, mode, *a, **kw)) if "w" in mode else real_open(self, mode, *a, **kw)))
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, fused, step=2)
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert path.read_bytes() == before
+        assert load_checkpoint(path)[2] == 1
+        save_checkpoint(path, fused, step=2)  # a save after the failure replaces the file
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert load_checkpoint(path)[2] == 2
+
     def test_load_model_runs(self, fused, tok, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, fused)
