@@ -104,15 +104,14 @@ class Tensor:
     parents' ``.grad`` arrays.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED.get()
         self._backward = None
         self._parents: tuple = ()
-        self.name = name
 
     # ---------------------------------------------------------------- plumbing
 
@@ -125,8 +124,7 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
-        tag = f" name={self.name}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def zero_grad(self):
         self.grad = None
@@ -528,5 +526,5 @@ def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def parameter(rng: np.random.Generator, shape, name: str | None = None) -> Tensor:
-    return Tensor(xavier_uniform(rng, shape), requires_grad=True, name=name)
+def parameter(rng: np.random.Generator, shape) -> Tensor:
+    return Tensor(xavier_uniform(rng, shape), requires_grad=True)

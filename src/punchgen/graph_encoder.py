@@ -32,9 +32,8 @@ def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.
     for layer in range(cfg.gat_layers):
         blocks = rng.uniform(-bound, bound, size=(heads, len(GAT_WEIGHTS), d, dh))
         for i, w in enumerate(GAT_WEIGHTS):
-            name = f"gat.{layer}.{w}"
             stacked = blocks[:, i].transpose(1, 0, 2).reshape(d, heads * dh)
-            params[name] = ag.Tensor(stacked, requires_grad=True, name=name)
+            params[f"gat.{layer}.{w}"] = ag.Tensor(stacked, requires_grad=True)
     return params
 
 

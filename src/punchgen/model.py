@@ -14,11 +14,13 @@ With lam forced to 1 (or when a record carries no knowledge) the fused
 block reduces exactly to a plain transformer block, which is what makes
 the two-stage pretrain-then-transplant scheme exact.
 
-Training runs a batch as one packed forward (Model.loss_sum): every layer
-but attention runs on the (n_real, d) rows of the real tokens, so padding
-costs nothing there; attention lays the rows out padded, (B, heads, t, s),
-with an additive bias hiding padded keys (cf. ByteTransformer, Zhai et al.
-2023, arXiv:2210.03052). Decoding calls the same layers unpacked.
+Every call runs packed (cf. ByteTransformer, Zhai et al. 2023,
+arXiv:2210.03052): a (B, t) mask `real` marks the real positions, every
+layer but attention runs on their (n_real, d) rows, so padding costs
+nothing there, and attention lays the rows out padded, (B, heads, t, s),
+with an additive bias hiding padded keys. A training batch (Model.loss_sum)
+and a decoding step use the same layers; a call without a mask is one
+all-real row, or one per prefix.
 
 Parameters are a flat name -> Tensor dict. Knowledge-side names
 (kinit.*, gat.*, dec.*.fuse.*, dec.*.gate.*) form the knowledge_only
@@ -75,25 +77,25 @@ def _attn_params(rng, prefix: str, d: int) -> dict[str, ag.Tensor]:
     """Q, K, V and output projections; K has no bias, as q . b_k adds one constant to a logit row."""
     out = {}
     for w in ("wq", "wk", "wv", "wo"):
-        out[f"{prefix}.{w}"] = ag.parameter(rng, (d, d), name=f"{prefix}.{w}")
+        out[f"{prefix}.{w}"] = ag.parameter(rng, (d, d))
         if w != "wk":
-            out[f"{prefix}.b{w[1]}"] = ag.Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b{w[1]}")
+            out[f"{prefix}.b{w[1]}"] = ag.Tensor(np.zeros(d), requires_grad=True)
     return out
 
 
 def _ln_params(prefix: str, d: int) -> dict[str, ag.Tensor]:
     return {
-        f"{prefix}.g": ag.Tensor(np.ones(d), requires_grad=True, name=f"{prefix}.g"),
-        f"{prefix}.b": ag.Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b"),
+        f"{prefix}.g": ag.Tensor(np.ones(d), requires_grad=True),
+        f"{prefix}.b": ag.Tensor(np.zeros(d), requires_grad=True),
     }
 
 
 def _ff_params(rng, prefix: str, d: int, d_ff: int) -> dict[str, ag.Tensor]:
     return {
-        f"{prefix}.w1": ag.parameter(rng, (d, d_ff), name=f"{prefix}.w1"),
-        f"{prefix}.b1": ag.Tensor(np.zeros(d_ff), requires_grad=True, name=f"{prefix}.b1"),
-        f"{prefix}.w2": ag.parameter(rng, (d_ff, d), name=f"{prefix}.w2"),
-        f"{prefix}.b2": ag.Tensor(np.zeros(d), requires_grad=True, name=f"{prefix}.b2"),
+        f"{prefix}.w1": ag.parameter(rng, (d, d_ff)),
+        f"{prefix}.b1": ag.Tensor(np.zeros(d_ff), requires_grad=True),
+        f"{prefix}.w2": ag.parameter(rng, (d_ff, d)),
+        f"{prefix}.b2": ag.Tensor(np.zeros(d), requires_grad=True),
     }
 
 
@@ -102,7 +104,7 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int,
     """All learnable tensors; `fused` adds the knowledge-side partition."""
     d, d_ff = cfg.d_model, cfg.d_ff
     params: dict[str, ag.Tensor] = {
-        "emb": ag.parameter(rng, (vocab_size, d), name="emb"),
+        "emb": ag.parameter(rng, (vocab_size, d)),
     }
     for n in range(cfg.n_blocks):
         params.update(_attn_params(rng, f"enc.{n}.attn", d))
@@ -116,10 +118,10 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int,
         params.update(_ln_params(f"dec.{n}.ln2", d))
         if fused:
             params.update(_attn_params(rng, f"dec.{n}.fuse", d))
-            params[f"dec.{n}.gate.wg"] = ag.parameter(rng, (d, d), name=f"dec.{n}.gate.wg")
+            params[f"dec.{n}.gate.wg"] = ag.parameter(rng, (d, d))
         params.update(_ff_params(rng, f"dec.{n}.ff", d, d_ff))
         params.update(_ln_params(f"dec.{n}.ln3", d))
-    params["out.w"] = ag.parameter(rng, (vocab_size, d), name="out.w")
+    params["out.w"] = ag.parameter(rng, (vocab_size, d))
     if fused:
         params.update(init_node_params(rng, vocab_size, cfg))
         params.update(init_gat_params(rng, cfg))
@@ -139,13 +141,12 @@ def sinusoidal_positions(length: int, d: int) -> np.ndarray:
 # ------------------------------------------------------------------- sub-layers
 
 
-def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None,
-             real: np.ndarray | None = None) -> ag.Tensor:
-    """Inverted dropout; for packed rows t of the mask `real`, the mask is drawn padded, then packed."""
+def _dropout(t: ag.Tensor, p: float, rng: np.random.Generator | None, real: np.ndarray) -> ag.Tensor:
+    """Inverted dropout of the packed rows t of the mask `real`; the mask is drawn padded, then packed."""
     if rng is None or p <= 0.0:
         return t
-    mask = (rng.random(t.shape if real is None else real.shape + t.shape[-1:]) >= p) / (1.0 - p)
-    return t * ag.Tensor(mask if real is None else mask[real])
+    mask = (rng.random(real.shape + t.shape[-1:]) >= p) / (1.0 - p)
+    return t * ag.Tensor(mask[real])
 
 
 def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,11 +157,6 @@ def _pad(rows, fill: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     out = np.full(real.shape, fill, dtype=np.intp)
     out[real] = np.concatenate(rows)
     return out, np.where(real, 0.0, MASK_OFF)[:, None, None, :], real
-
-
-def _padded(x: ag.Tensor, real: np.ndarray | None) -> ag.Tensor:
-    """Packed rows x of the mask `real` laid out padded; x itself without a mask."""
-    return x if real is None else ag.scatter_rows(x, real)
 
 
 class DecoderCache:
@@ -201,24 +197,26 @@ class DecoderCache:
 
 
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
-                         n_heads: int, bias: np.ndarray | None = None,
+                         n_heads: int, real: np.ndarray, bias: np.ndarray | None = None,
                          trace: list | None = None, trace_tag: str = "",
-                         cache: DecoderCache | None = None, real: np.ndarray | None = None,
+                         cache: DecoderCache | None = None,
                          kv_real: np.ndarray | None = None) -> ag.Tensor:
-    """Multi-head attention of q_in (..., t, d) over kv_in (..., s, d); batch axes broadcast.
+    """Multi-head attention of the packed (n, d) rows q_in of the (B, t) mask `real` over kv_in.
 
-    `bias` adds to the (..., heads, t, s) logits; MASK_OFF hides a key. With a `cache`, the
-    keys and values come from `DecoderCache.keys_values`. With the (B, t) mask `real`, q_in
-    and the output are the packed (n, d) rows of the real queries, and likewise kv_in with
-    `kv_real`: the projections run on the packed rows, and only the logits and their
-    weighted sums are padded.
+    With the (B, s) mask `kv_real`, kv_in is packed rows too; without it, kv_in is already
+    laid out, (s, d) or (B, s, d). The projections run on the packed rows, and only the
+    logits and their weighted sums are padded. `bias` adds to the (B, heads, t, s) logits;
+    MASK_OFF hides a key. With a `cache`, the keys and values come from
+    `DecoderCache.keys_values`. The output is packed like q_in.
     """
     d = q_in.shape[-1]
-    q = split_heads(_padded(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], real), n_heads)
+    q = split_heads(ag.scatter_rows(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], real), n_heads)
+
+    def heads(x):
+        return split_heads(x if kv_real is None else ag.scatter_rows(x, kv_real), n_heads)
 
     def project():
-        return (split_heads(_padded(kv_in @ p[f"{prefix}.wk"], kv_real), n_heads),
-                split_heads(_padded(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"], kv_real), n_heads))
+        return heads(kv_in @ p[f"{prefix}.wk"]), heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"])
 
     k, v = project() if cache is None else cache.keys_values(prefix, project)
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
@@ -227,10 +225,7 @@ def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str
     alpha = ag.softmax(logits, axis=-1)
     if trace is not None:
         trace.extend((trace_tag, a) for a in alpha.data.reshape(-1, *alpha.shape[-2:]))
-    context = merge_heads(alpha @ v)
-    if real is not None:
-        context = context[real]
-    return context @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
+    return merge_heads(alpha @ v)[real] @ p[f"{prefix}.wo"] + p[f"{prefix}.bo"]
 
 
 def feed_forward(x: ag.Tensor, p: dict, prefix: str) -> ag.Tensor:
@@ -266,33 +261,32 @@ class Model:
 
     # -------------------------------------------------------------- embeddings
 
-    def _embed(self, ids: np.ndarray, offset: int, real: np.ndarray | None = None) -> ag.Tensor:
-        """Scaled embeddings plus the sinusoids of positions offset, offset + 1, ...;
-        with the mask `real`, the packed rows of its real ids."""
-        positions = self.positions[offset: offset + ids.shape[-1]]
-        if real is not None:
-            ids, positions = ids[real], positions[np.nonzero(real)[-1]]
-        return self.params["emb"][ids] * np.sqrt(self.cfg.d_model) + ag.Tensor(positions)
+    def _embed(self, ids: np.ndarray, offset: int, real: np.ndarray) -> ag.Tensor:
+        """The packed rows of the (B, t) mask `real` of ids (B, t) at positions offset, offset + 1, ...:
+        scaled embeddings plus sinusoids."""
+        positions = self.positions[offset + np.nonzero(real)[-1]]
+        return self.params["emb"][ids[real]] * np.sqrt(self.cfg.d_model) + ag.Tensor(positions)
 
     # ----------------------------------------------------------------- encoder
 
     def encode_setup(self, ids, dropout_rng=None, trace: list | None = None,
                      bias: np.ndarray | None = None, real: np.ndarray | None = None) -> ag.Tensor:
-        """Encoder states (..., s, d) of set-ups (..., s); `bias` (..., 1, 1, s) hides padded keys.
+        """Encoder states of set-ups (B, s): the packed (n_real, d) rows of the (B, s) mask `real`.
 
-        With the (B, s) mask `real` of the real tokens, every layer but the attention logits
-        runs on their packed rows, and the states come back packed, (n_real, d).
+        `bias` (B, 1, 1, s) hides padded keys. Without a mask every position is real, and
+        a set-up (s,) is one row, so its states are (s, d).
         """
-        ids = np.asarray(ids, dtype=np.intp)
+        ids = np.atleast_2d(np.asarray(ids, dtype=np.intp))
         if ids.shape[-1] == 0:
             raise ValueError("set-up encodes to no tokens")
         if ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"set-up has {ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
+        real = np.ones(ids.shape, dtype=bool) if real is None else real
         x = self._embed(ids, 0, real)
         for n in range(cfg.n_blocks):
-            attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads, bias=bias,
-                                        trace=trace, trace_tag="enc-self", real=real, kv_real=real)
+            attn = multi_head_attention(x, x, p, f"enc.{n}.attn", cfg.n_heads, real, bias=bias,
+                                        trace=trace, trace_tag="enc-self", kv_real=real)
             x = ag.layer_norm(x + _dropout(attn, cfg.dropout, dropout_rng, real),
                               p[f"enc.{n}.ln1.g"], p[f"enc.{n}.ln1.b"])
             ff = feed_forward(x, p, f"enc.{n}.ff")
@@ -331,10 +325,11 @@ class Model:
                       dropout_rng=None, trace: list | None = None, memory_bias=None,
                       knowledge_bias=None, mix=None, cache: DecoderCache | None = None,
                       real: np.ndarray | None = None, memory_real: np.ndarray | None = None) -> ag.Tensor:
-        """Final decoder states (..., t, d) for BOS-initiated prefixes (..., t); biases hide padded keys.
+        """Final decoder states of BOS-initiated prefixes (B, t): the packed (n_real, d) rows of
+        the (B, t) mask `real`, computed as in `encode_setup`; biases hide padded keys.
 
-        With the (B, t) mask `real`, the states are the packed (n_real, d) rows of its real
-        positions, computed as in `encode_setup`; with `memory_real`, `memory` is packed too.
+        Without `real` every position is real, and a prefix (t,) is one row. `memory` is the
+        packed rows of the mask `memory_real`; without it, the (s, d) states of one set-up.
 
         Fusion runs if and only if `knowledge` is given. Without it every gate is
         lam = 1 exactly and passes S through, so passing None is how a caller
@@ -344,31 +339,31 @@ class Model:
         rows they extend, and the cache gains them; the call attends to the
         cached keys and values instead of recomputing them.
         """
-        ids = np.asarray(prefix_ids, dtype=np.intp)
+        ids = np.atleast_2d(np.asarray(prefix_ids, dtype=np.intp))
         past = 0 if cache is None else cache.length
         if past + ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"prefix has {past + ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
         causal = np.triu(np.full((ids.shape[-1], past + ids.shape[-1]), MASK_OFF), k=past + 1)
-        if real is not None and mix is not None:
+        real = np.ones(ids.shape, dtype=bool) if real is None else real
+        if mix is not None:
             mix = np.broadcast_to(mix, real.shape + mix.shape[-1:])[real]
         y = self._embed(ids, past, real)
         for n in range(cfg.n_blocks):
-            attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, bias=causal,
-                                        trace=trace, trace_tag="dec-self", cache=cache,
-                                        real=real, kv_real=real)
+            attn = multi_head_attention(y, y, p, f"dec.{n}.self", cfg.n_heads, real, bias=causal,
+                                        trace=trace, trace_tag="dec-self", cache=cache, kv_real=real)
             y = ag.layer_norm(y + _dropout(attn, cfg.dropout, dropout_rng, real),
                               p[f"dec.{n}.ln1.g"], p[f"dec.{n}.ln1.b"])
-            cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads, bias=memory_bias,
-                                         trace=trace, trace_tag="dec-cross", cache=cache,
-                                         real=real, kv_real=memory_real)
+            cross = multi_head_attention(y, memory, p, f"dec.{n}.cross", cfg.n_heads, real,
+                                         bias=memory_bias, trace=trace, trace_tag="dec-cross",
+                                         cache=cache, kv_real=memory_real)
             s_states = ag.layer_norm(y + _dropout(cross, cfg.dropout, dropout_rng, real),
                                      p[f"dec.{n}.ln2.g"], p[f"dec.{n}.ln2.b"])
             y = s_states
             if knowledge is not None:
-                fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse",
-                                                  cfg.n_heads, bias=knowledge_bias,
-                                                  trace=trace, trace_tag="fusion", cache=cache, real=real)
+                fused_attn = multi_head_attention(s_states, knowledge, p, f"dec.{n}.fuse", cfg.n_heads,
+                                                  real, bias=knowledge_bias, trace=trace,
+                                                  trace_tag="fusion", cache=cache)
                 y = knowledge_gate(s_states, fused_attn, p[f"dec.{n}.gate.wg"], mix)
             ff = feed_forward(y, p, f"dec.{n}.ff")
             y = ag.layer_norm(y + _dropout(ff, cfg.dropout, dropout_rng, real),
@@ -388,8 +383,9 @@ class Model:
         ids = np.asarray(prefix_ids, dtype=np.intp)
         if not (cache and cache.length) and (not ids.shape[-1] or np.any(ids[..., 0] != self.tokenizer.bos_id)):
             raise ValueError("prefix must begin with BOS")
+        t = ids.shape[-1]
         states = self.decode_states(ids, memory, knowledge, cache=cache)
-        return ag.softmax(self.logits(states[..., -1, :]), axis=-1).data
+        return ag.softmax(self.logits(states[t - 1::t]), axis=-1).data.reshape(ids.shape[:-1] + (-1,))
 
     # -------------------------------------------------------------------- loss
 
@@ -472,8 +468,7 @@ def load_checkpoint(path: str | Path) -> tuple[Model, dict | None, int, dict | N
         opt_m, opt_v = {}, {}
         for key in data.files:
             if key.startswith("param."):
-                name = key[len("param."):]
-                params[name] = ag.Tensor(data[key], requires_grad=True, name=name)
+                params[key[len("param."):]] = ag.Tensor(data[key], requires_grad=True)
             elif key.startswith("adam_m."):
                 opt_m[key[len("adam_m."):]] = data[key]
             elif key.startswith("adam_v."):

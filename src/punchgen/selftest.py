@@ -163,7 +163,7 @@ def check_fusion_gate_gradients():
     weight = rng.normal(size=(4, d))
 
     def loss_fn():
-        attended = multi_head_attention(s_in, h_in, params, "f", cfg.n_heads)
+        attended = multi_head_attention(s_in, h_in, params, "f", cfg.n_heads, np.ones((1, 4), dtype=bool))
         gated = knowledge_gate(s_in, attended, params["wg"])
         return (gated * ag.Tensor(weight)).sum()
 

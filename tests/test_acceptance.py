@@ -35,42 +35,18 @@ import pytest
 
 from punchgen import selftest
 from punchgen.config import TrainConfig, preset
-from punchgen.corpus import (
-    DatasetSplit,
-    JokeRecord,
-    deduplicate,
-    filter_joke,
-    read_raw_jokes,
-    segment_punchline,
-)
+from punchgen.corpus import DatasetSplit
 from punchgen.decoding import decode_record
 from punchgen.evaluation import evaluate_lines, score_pair
-from punchgen.knowledge import FixtureProvider, annotate_dataset
 from punchgen.tokenizer import train_tokenizer
 from punchgen import training
-
-FIXTURES = Path(__file__).parent / "fixtures"
+from suite_support import FIXTURES, fixture_records, record_acceptance, subprocess_env
 
 
 def announce(criterion: int, passed: bool, detail: str) -> None:
     line = f"ACCEPTANCE {criterion} {'PASS' if passed else 'FAIL'}: {detail}"
     print(line, file=sys.__stderr__, flush=True)  # live when run with -s
-    from conftest import record_acceptance
-
     record_acceptance(line)
-
-
-def fixture_records(limit: int = 32) -> list[JokeRecord]:
-    records = []
-    for raw in read_raw_jokes(FIXTURES / "raw_jokes.txt"):
-        kept = filter_joke(raw)
-        if kept is None:
-            continue
-        setup, punch = segment_punchline(kept)
-        records.append(JokeRecord(setup, punch))
-    records = deduplicate(records)[:limit]
-    provider = FixtureProvider(FIXTURES / "knowledge.json")
-    return annotate_dataset(records, provider, provider)
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +165,6 @@ class TestCriterion7Rouge:
 
 class TestCriterion8Determinism:
     def _run_pipeline(self, workdir: Path) -> dict[str, bytes]:
-        from conftest import subprocess_env
-
         env_args = dict(capture_output=True, text=True, cwd=workdir, env=subprocess_env())
 
         def fail(detail: str, log: str = "") -> None:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import subprocess_env
+from suite_support import subprocess_env
 from punchgen.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -217,6 +218,44 @@ class TestOneBlasThread:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.fixture(scope="class")
+    def bench_data(self, tmp_path_factory):
+        """The benchmark's make_records(0, 24) as both the train and the valid split."""
+        from inputs import make_records
+
+        data = tmp_path_factory.mktemp("bench_data")
+        lines = "".join(json.dumps(r) + "\n" for r in make_records(0, 24))
+        for split in ("train", "valid"):
+            (data / f"{split}.jsonl").write_text(lines)
+        return data
+
+    @staticmethod
+    def pretrain_bytes(data: Path, out: Path, threads: str, through_main: bool) -> bytes:
+        """pretrain.best of 3 desk steps on `data`, trained in a child process under
+        OPENBLAS_NUM_THREADS=threads; without `through_main`, the command runs without
+        `cli.main`, so nothing pins the OpenBLAS pool."""
+        argv = ["train", "pretrain", "--data", str(data), "--out", str(out), "--preset", "desk",
+                "--max-steps", "3", "--eval-every", "3"]
+        run = (["-m", "punchgen.cli"] if through_main else
+               ["-c", "import sys; from punchgen import cli; "
+                      "args = cli.build_parser().parse_args(sys.argv[1:]); sys.exit(args.fn(args))"])
+        proc = subprocess.run([sys.executable, *run, *argv], capture_output=True, text=True,
+                              env={**subprocess_env(), "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        return (out / "pretrain.best").read_bytes()
+
+    def test_pretrain_checkpoint_does_not_depend_on_openblas_threads(self, bench_data, tmp_path):
+        one, two = (self.pretrain_bytes(bench_data, tmp_path / t, t, through_main=True) for t in "12")
+        assert one == two
+
+    def test_unpinned_pretrain_depends_on_openblas_threads(self, bench_data, tmp_path):
+        """The control of the test above: without the pin, the same training writes other
+        weights at 2 threads than at 1, so a lost pin fails that test."""
+        if _openblas("scipy_openblas_get_num_threads64_") is None or (os.cpu_count() or 1) < 2:
+            pytest.skip("needs numpy's bundled scipy-openblas and two cores")
+        one, two = (self.pretrain_bytes(bench_data, tmp_path / t, t, through_main=False) for t in "12")
+        assert one != two
 
 
 class TestSidecarRecordsWhatRan:

@@ -21,7 +21,10 @@ from punchgen.decoding import (
 from punchgen.model import DecoderCache, Model, init_params
 from punchgen.selftest import desk_model
 from punchgen.tokenizer import train_tokenizer
+from suite_support import FIXTURES, fixture_records
 
+# generate_file's text from before decoding ran on packed rows, which reproduce it byte for byte
+FROZEN_TEXT = FIXTURES / "generated_desk_fused.txt"
 TINY = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
                    max_len=80, dropout=0.0)
 
@@ -322,6 +325,20 @@ class TestGenerateFile:
         write_jsonl([JokeRecord("the cat sat,", "a dog.")] * 2, inp)
         assert generate_file(inp, model, out, beam=2, max_len=6) == 2
         assert out.read_text() == "two lines\ntwo lines\n"
+
+    def test_fixture_text_is_frozen(self, tmp_path):
+        """A seeded desk fused model decodes the fixture records to the committed bytes.
+
+        A change to decoding that moves a token shows here. The model is untrained, so the
+        text is not words; what counts is that it does not drift.
+        A change meant to move tokens rewrites the file, and says why.
+        """
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.txt"
+        write_jsonl(fixture_records(32), inp)
+        assert generate_file(inp, desk_model(seed=0, fused=True), out, beam=5, max_len=16) == 32
+        got, want = out.read_bytes().splitlines(), FROZEN_TEXT.read_bytes().splitlines()
+        assert [i for i, (a, b) in enumerate(zip(got, want)) if a != b] == []
+        assert len(got) == len(want)
 
 
 class TestHypothesisInvariants:

@@ -111,7 +111,8 @@ class TestPositions:
         for offset in (0, 3, TINY.max_len - len(ids)):
             want = (plain.params["emb"].data[ids] * np.sqrt(TINY.d_model)
                     + sinusoidal_positions(offset + len(ids), TINY.d_model)[offset:])
-            assert plain._embed(ids, offset).data.tobytes() == want.tobytes()
+            got = plain._embed(ids[None], offset, np.ones((1, len(ids)), dtype=bool))
+            assert got.data.tobytes() == want.tobytes()
 
 
 class TestEncoder:
@@ -146,7 +147,8 @@ class TestFusionAttention:
         rng = np.random.default_rng(2)
         s = ag.Tensor(rng.normal(size=(5, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(1, TINY.d_model)))
-        out = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads)
+        out = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads,
+                                   np.ones((1, 5), dtype=bool))
         p = fused.params
         expect = (h.data @ p["dec.0.fuse.wv"].data + p["dec.0.fuse.bv"].data) \
             @ p["dec.0.fuse.wo"].data + p["dec.0.fuse.bo"].data
@@ -158,7 +160,8 @@ class TestFusionAttention:
         s = ag.Tensor(rng.normal(size=(4, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(6, TINY.d_model)))
         trace = []
-        multi_head_attention(s, h, fused.params, "dec.1.fuse", TINY.n_heads, trace=trace)
+        multi_head_attention(s, h, fused.params, "dec.1.fuse", TINY.n_heads, np.ones((1, 4), dtype=bool),
+                             trace=trace)
         assert len(trace) == TINY.n_heads
         for _, alpha in trace:
             np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -167,19 +170,23 @@ class TestFusionAttention:
         rng = np.random.default_rng(4)
         s = ag.Tensor(rng.normal(size=(3, TINY.d_model)))
         h = ag.Tensor(rng.normal(size=(5, TINY.d_model)))
-        got = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads).data
+        got = multi_head_attention(s, h, fused.params, "dec.0.fuse", TINY.n_heads,
+                                   np.ones((1, 3), dtype=bool)).data
         want = np_mha(s.data, h.data, fused.params, "dec.0.fuse", TINY.n_heads)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_bias_matches_loop_oracle(self, fused):
         rng = np.random.default_rng(12)
-        s = ag.Tensor(rng.normal(size=(2, 4, TINY.d_model)))
+        s = ag.Tensor(rng.normal(size=(8, TINY.d_model)))  # packed rows of two rows of 4
+        real = np.ones((2, 4), dtype=bool)
         bias = np.triu(np.full((4, 4), MASK_OFF), k=1)
         bias[:, 3] = MASK_OFF  # a padded key
-        got = multi_head_attention(s, s, fused.params, "dec.0.self", TINY.n_heads, bias=bias).data
+        got = multi_head_attention(s, s, fused.params, "dec.0.self", TINY.n_heads, real,
+                                   bias=bias, kv_real=real).data
         for b in range(2):
-            want = np_mha(s.data[b], s.data[b], fused.params, "dec.0.self", TINY.n_heads, bias=bias)
-            np.testing.assert_allclose(got[b], want, atol=1e-10)
+            rows = s.data[4 * b: 4 * b + 4]
+            want = np_mha(rows, rows, fused.params, "dec.0.self", TINY.n_heads, bias=bias)
+            np.testing.assert_allclose(got[4 * b: 4 * b + 4], want, atol=1e-10)
 
 
 class TestKnowledgeGate:
@@ -513,17 +520,21 @@ class TestBatchedLoss:
 
     @staticmethod
     def _padded_loss_sum(model, batch, dropout_rng):
-        """loss_sum as one padded forward: every layer runs every position, pads included."""
+        """loss_sum as one padded forward: every layer runs every position, pads included.
+
+        An all-True mask is the padded layout, so the states are the flat rows of every position.
+        """
         pad = model.tokenizer.pad_id
         src, memory_bias, _ = _pad([ex.src for ex in batch], pad)
         tgt, _, _ = _pad([ex.tgt for ex in batch], pad)
         memory = model.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias)
         knowledge, knowledge_bias, mix = model._encode_graphs([ex.triples for ex in batch])
         states = model.decode_states(tgt[:, :-1], memory, knowledge, dropout_rng=dropout_rng,
-                                     memory_bias=memory_bias, knowledge_bias=knowledge_bias, mix=mix)
-        targets = tgt[:, 1:]
-        rows = np.nonzero(targets != pad)
-        return ag.cross_entropy_sum(model.logits(states[rows]), targets[rows]), len(rows[0])
+                                     memory_bias=memory_bias, knowledge_bias=knowledge_bias, mix=mix,
+                                     memory_real=np.ones(src.shape, dtype=bool))
+        targets = tgt[:, 1:].ravel()
+        rows = np.flatnonzero(targets != pad)
+        return ag.cross_entropy_sum(model.logits(states[rows]), targets[rows]), len(rows)
 
     @pytest.mark.parametrize("with_triples", [True, False])
     def test_packed_rows_match_padded_forward(self, fused, tok, with_triples):
