@@ -11,9 +11,10 @@ at least LEAF_FLOOR elements): the weight product of a matmul, the scatter
 of an embedding lookup and every accumulation into that leaf, in tape
 order, while the calling thread walks the tape through the activations.
 Each leaf's contributions are summed on one thread in the serial order, so
-gradients are bit-identical to a serial backward. `run_beside` lends the
-same worker to other code (the optimizer, generation). The worker never
-queues work for itself: there, a backward and `run_beside` run inline.
+gradients are bit-identical to a serial backward. `beside` and `run_beside`
+lend the same worker to other code (the forward, the optimizer,
+generation). The worker never queues work for itself: there, a backward
+and the jobs of `beside` run inline.
 
 All data is kept in float64 so finite-difference gradient checks are
 meaningful at tight tolerances.
@@ -63,21 +64,41 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
+@contextlib.contextmanager
+def beside(on: bool = True):
+    """Yield submit(fn), which returns a function that gives fn()'s result.
+
+    On, each fn runs on the worker thread in submission order and sees this thread's
+    context variables (grad mode included) as they were at submission. Off, or on the
+    worker itself, fn runs on this thread when its result is asked for. Every job has
+    finished when the block exits; an error in the block wins over a job's.
+    """
+    if not on or _on_worker():
+        yield lambda fn: fn
+        return
+    futures = []
+
+    def submit(fn):
+        futures.append(_WORKER.submit(contextvars.copy_context().run, fn))
+        return futures[-1].result
+
+    try:
+        yield submit
+    finally:
+        for future in futures:
+            future.exception()  # waits
+
+
 def run_beside(job, own):
     """Run job() on the worker thread while this thread runs own(); return (job(), own()).
 
-    job() sees this thread's context variables (grad mode included). Both calls have
-    finished when it returns or raises; an error in own() wins. On the worker itself,
-    job() and then own() run inline.
+    As in `beside`: both calls have finished when it returns or raises, an error in
+    own() wins, and on the worker itself own() and then job() run inline.
     """
-    if _on_worker():
-        return job(), own()
-    future = _WORKER.submit(contextvars.copy_context().run, job)
-    try:
+    with beside() as submit:
+        got = submit(job)
         mine = own()
-    finally:
-        future.exception()  # waits
-    return future.result(), mine
+        return got(), mine
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -293,6 +314,24 @@ def matmul(a, b) -> Tensor:
                 return _unbroadcast(gb, y.shape).reshape(b.data.shape)
 
             b._accumulate(grad_b)
+
+    return _make(data, (a, b), backward)
+
+
+def matmul_t(a, b) -> Tensor:
+    """a @ b.T for 2-D a and b, the product of `matmul(a, swapaxes(b, 0, 1))` without the swap node.
+
+    b's gradient is that rule's product a.T @ g, laid out like b, so a large b's whole
+    gradient work is one job on the worker thread.
+    """
+    a, b = _wrap(a), _wrap(b)
+    data = a.data @ b.data.T
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad @ b.data)
+        if b.requires_grad:
+            b._accumulate(lambda: (a.data.T @ grad).T)  # _accumulate copies it to C order
 
     return _make(data, (a, b), backward)
 

@@ -109,14 +109,15 @@ def decode_record(model: Model, record: JokeRecord, beam: int = 5, max_len: int 
 
 def decode_threads(model: Model, n_records: int) -> int:
     """Threads `generate_file` decodes n_records records on: 2 when there are several and
-    the decoder's feed-forward weight has at least `autograd.LEAF_FLOOR` elements, else 1.
+    the model `uses_worker` (its decoder's feed-forward weight has at least
+    `autograd.LEAF_FLOOR` elements), else 1.
 
     With 4 records, beam 5 and max_len 16 on 2 cores (best of 4), two threads ran 0.80x as
     fast as one at d_model 64 / d_ff 256 (the desk preset), 0.79x at 128 / 512, 1.40x at
     256 / 1024 and 1.82x at the paper preset: the floor lies between the second (65,536
     elements) and the third (262,144).
     """
-    return 2 if n_records > 1 and model.params["dec.0.ff.w1"].data.size >= ag.LEAF_FLOOR else 1
+    return 2 if n_records > 1 and model.uses_worker else 1
 
 
 def _decode_records(model: Model, records: list[JokeRecord], threads: int,

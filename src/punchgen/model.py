@@ -31,6 +31,7 @@ plain pretrained checkpoint.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 from pathlib import Path
@@ -164,7 +165,8 @@ class DecoderCache:
 
     `past` maps each self-attention to its (K, V) over the positions decoded so far, each
     (rows, heads, t, d_head). `fixed` maps each cross-attention and fusion to the (K, V) of
-    the set-up or knowledge, projected on first use.
+    the set-up or knowledge, projected on first use, or to a function that gives them on
+    first use (`Model.loss_sum` fills it so with jobs on autograd's worker).
     """
 
     def __init__(self):
@@ -186,14 +188,24 @@ class DecoderCache:
         A self-attention's grow by the new positions; a cross-attention's or fusion's are projected once.
         """
         if not name.endswith(".self"):
-            if name not in self.fixed:
-                self.fixed[name] = project()
-            return self.fixed[name]
+            kv = self.fixed.get(name, project)
+            if callable(kv):
+                kv = self.fixed[name] = kv()
+            return kv
         k, v = project()
         if name in self.past:
             k, v = (ag.concat([old, new], axis=-2) for old, new in zip(self.past[name], (k, v)))
         self.past[name] = k, v
         return k, v
+
+
+def _keys_values(kv_in: ag.Tensor, p: dict, prefix: str, n_heads: int,
+                kv_real: np.ndarray | None = None) -> tuple[ag.Tensor, ag.Tensor]:
+    """(K, V) of attention `prefix` over kv_in, split into heads, as `multi_head_attention` takes them."""
+    def heads(x):
+        return split_heads(x if kv_real is None else ag.scatter_rows(x, kv_real), n_heads)
+
+    return heads(kv_in @ p[f"{prefix}.wk"]), heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"])
 
 
 def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str,
@@ -211,13 +223,7 @@ def multi_head_attention(q_in: ag.Tensor, kv_in: ag.Tensor, p: dict, prefix: str
     """
     d = q_in.shape[-1]
     q = split_heads(ag.scatter_rows(q_in @ p[f"{prefix}.wq"] + p[f"{prefix}.bq"], real), n_heads)
-
-    def heads(x):
-        return split_heads(x if kv_real is None else ag.scatter_rows(x, kv_real), n_heads)
-
-    def project():
-        return heads(kv_in @ p[f"{prefix}.wk"]), heads(kv_in @ p[f"{prefix}.wv"] + p[f"{prefix}.bv"])
-
+    project = functools.partial(_keys_values, kv_in, p, prefix, n_heads, kv_real)
     k, v = project() if cache is None else cache.keys_values(prefix, project)
     logits = (q @ ag.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(d // n_heads))
     if bias is not None:
@@ -258,6 +264,12 @@ class Model:
         self.fused = fused
         # every row is the same elementwise formula, so a slice equals a shorter table bit for bit
         self.positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
+
+    @property
+    def uses_worker(self) -> bool:
+        """Whether the training forward and generation share their work with autograd's worker
+        thread: the decoder's feed-forward weight has at least `autograd.LEAF_FLOOR` elements."""
+        return self.params["dec.0.ff.w1"].data.size >= ag.LEAF_FLOOR
 
     # -------------------------------------------------------------- embeddings
 
@@ -344,7 +356,8 @@ class Model:
         if past + ids.shape[-1] > self.cfg.max_len:
             raise LengthError(f"prefix has {past + ids.shape[-1]} tokens, max is {self.cfg.max_len}")
         p, cfg = self.params, self.cfg
-        causal = np.triu(np.full((ids.shape[-1], past + ids.shape[-1]), MASK_OFF), k=past + 1)
+        t = ids.shape[-1]  # one position sees every key, so its causal bias would be all zeros
+        causal = None if t == 1 else np.triu(np.full((t, past + t), MASK_OFF), k=past + 1)
         real = np.ones(ids.shape, dtype=bool) if real is None else real
         if mix is not None:
             mix = np.broadcast_to(mix, real.shape + mix.shape[-1:])[real]
@@ -371,7 +384,7 @@ class Model:
         return y
 
     def logits(self, states: ag.Tensor) -> ag.Tensor:
-        return states @ ag.swapaxes(self.params["out.w"], 0, 1)
+        return ag.matmul_t(states, self.params["out.w"])
 
     def decode_step(self, prefix_ids, memory: ag.Tensor, knowledge: ag.Tensor | None,
                     cache: DecoderCache | None = None) -> np.ndarray:
@@ -397,17 +410,32 @@ class Model:
         positions whose target is within its tgt; attention masks padded set-up and node keys.
         The loss skips PAD targets, and an example without triples keeps lam = 1 exactly, as
         when alone.
+
+        A model that `uses_worker` runs the graph encoder on autograd's worker beside the
+        set-up encoder, then every block's cross-attention and fusion keys and values there, in
+        block order, while this thread decodes; each job is picked up when its block needs it.
+        Dropout is drawn on this thread only, in the serial order, so every value is the serial one.
         """
         pad = self.tokenizer.pad_id
+        p, cfg = self.params, self.cfg
         src, memory_bias, src_real = _pad([ex.src for ex in batch], pad)
         tgt, _, tgt_real = _pad([ex.tgt for ex in batch], pad)
-        memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias, real=src_real)
-        knowledge, knowledge_bias, mix = (self._encode_graphs([ex.triples for ex in batch]) if self.fused
-                                          else (None,) * 3)
         real = tgt_real[:, 1:]
-        states = self.decode_states(tgt[:, :-1], memory, knowledge,
-                                    dropout_rng=dropout_rng, memory_bias=memory_bias,
-                                    knowledge_bias=knowledge_bias, mix=mix, real=real, memory_real=src_real)
+        with ag.beside(self.uses_worker) as submit:
+            graphs = (submit(functools.partial(self._encode_graphs, [ex.triples for ex in batch]))
+                      if self.fused else lambda: (None,) * 3)
+            memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias, real=src_real)
+            knowledge, knowledge_bias, mix = graphs()
+            cache = DecoderCache()
+            for n in range(cfg.n_blocks):
+                cache.fixed[f"dec.{n}.cross"] = submit(functools.partial(
+                    _keys_values, memory, p, f"dec.{n}.cross", cfg.n_heads, src_real))
+                if knowledge is not None:
+                    cache.fixed[f"dec.{n}.fuse"] = submit(functools.partial(
+                        _keys_values, knowledge, p, f"dec.{n}.fuse", cfg.n_heads))
+            states = self.decode_states(tgt[:, :-1], memory, knowledge, dropout_rng=dropout_rng,
+                                        memory_bias=memory_bias, knowledge_bias=knowledge_bias, mix=mix,
+                                        cache=cache, real=real, memory_real=src_real)
         targets = tgt[:, 1:][real]
         rows = targets != pad
         loss = ag.cross_entropy_sum(self.logits(states[rows]), targets[rows])

@@ -1,11 +1,12 @@
-"""Helpers the test modules share: the fixture records, the ACCEPTANCE result lines, and
-the environment for tests that run the CLI in a subprocess.
+"""Helpers the test modules share: the fixture records, the ACCEPTANCE result lines, a
+deadlock guard, and the environment for tests that run the CLI in a subprocess.
 
 The name is unique on sys.path, so `from suite_support import ...` finds this module
 whichever test directories are collected.
 """
 
 import os
+import threading
 from pathlib import Path
 
 import punchgen
@@ -28,6 +29,16 @@ def fixture_records(limit: int = 32) -> list[JokeRecord]:
     records = deduplicate(records)[:limit]
     provider = FixtureProvider(FIXTURES / "knowledge.json")
     return annotate_dataset(records, provider, provider)
+
+
+def bounded(fn, seconds=30):
+    """fn() on a helper thread, failing the test if it has not returned in time."""
+    out = []
+    helper = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), "deadlocked"
+    return out[0]
 
 
 def record_acceptance(line: str) -> None:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
+from suite_support import bounded
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -151,6 +152,26 @@ class TestBinaryOps:
 
         np.testing.assert_allclose(a.grad, numeric_grad(f, da), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(b.grad, numeric_grad(f, db), rtol=1e-5, atol=1e-7)
+
+
+    def test_matmul_t_is_matmul_by_the_swapped_operand_bit_for_bit(self):
+        """matmul_t(a, b) gives the value and gradients of a @ swapaxes(b, 0, 1), one node fewer."""
+        rng = np.random.default_rng(4)
+        da, db, w = rng.normal(size=(5, 7)), rng.normal(size=(11, 7)), rng.normal(size=(5, 11))
+        got = []
+        for product in (lambda a, b: ag.matmul_t(a, b), lambda a, b: a @ ag.swapaxes(b, 0, 1)):
+            a, b = ag.Tensor(da, requires_grad=True), ag.Tensor(db, requires_grad=True)
+            out = product(a, b)
+            (out * ag.Tensor(w)).sum().backward()
+            assert b.grad.flags.c_contiguous
+            got.append((out.data, a.grad, b.grad))
+        for mine, want in zip(*got):
+            np.testing.assert_array_equal(mine, want)
+
+        def f():
+            return float(((da @ db.T) * w).sum())
+
+        np.testing.assert_allclose(got[0][2], numeric_grad(f, db), rtol=1e-5, atol=1e-7)
 
 
 class TestStructuredOps:
@@ -432,15 +453,38 @@ class TestThreads:
         for k, want in serial.items():
             np.testing.assert_array_equal(again[k], want, err_msg=k)
 
-    @staticmethod
-    def bounded(fn, seconds=30):
-        """fn() on a helper thread, failing the test if it has not returned in time."""
-        out = []
-        helper = threading.Thread(target=lambda: out.append(fn()), daemon=True)
-        helper.start()
-        helper.join(seconds)
-        assert not helper.is_alive(), "deadlocked"
-        return out[0]
+    def test_beside_runs_jobs_in_order_and_waits_for_all(self):
+        """Jobs run on the worker in submission order; the block's own error wins, and it
+        surfaces only once every job has finished."""
+        ran = []
+
+        def job(k):
+            time.sleep(0.02)
+            ran.append((k, threading.current_thread().name))
+            if k == 0:
+                raise RuntimeError("job failed")
+            return k
+
+        with pytest.raises(KeyError):
+            with ag.beside() as submit:
+                for k in range(3):
+                    submit(lambda k=k: job(k))
+                raise KeyError("caller failed")
+        assert [k for k, _ in ran] == [0, 1, 2]
+        assert all(name.startswith("autograd") for _, name in ran)
+        with ag.beside() as submit:
+            first, second = submit(lambda: job(0)), submit(lambda: job(1))
+            assert second() == 1
+            with pytest.raises(RuntimeError, match="job failed"):
+                first()
+
+    def test_beside_off_runs_each_job_when_asked(self):
+        ran = []
+        with ag.beside(False) as submit:
+            got = submit(lambda: ran.append(threading.current_thread().name) or 5)
+            assert ran == []
+            assert got() == 5
+        assert ran == [threading.current_thread().name]
 
     def test_run_beside_lends_the_caller_context(self):
         def grad_mode():
@@ -455,11 +499,11 @@ class TestThreads:
         def names():
             return threading.current_thread().name
 
-        nested, caller = self.bounded(lambda: ag.run_beside(lambda: ag.run_beside(names, names), names))
+        nested, caller = bounded(lambda: ag.run_beside(lambda: ag.run_beside(names, names), names))
         worker = nested[0]
         assert nested == (worker, worker) and worker.startswith("autograd") and caller != worker
         serial = self.leaf_grads()
         monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
-        on_worker, _ = self.bounded(lambda: ag.run_beside(self.leaf_grads, lambda: None))
+        on_worker, _ = bounded(lambda: ag.run_beside(self.leaf_grads, lambda: None))
         for k, want in serial.items():
             np.testing.assert_array_equal(on_worker[k], want, err_msg=k)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
+from punchgen import model as model_module
 from punchgen.config import ModelConfig, preset
 from punchgen.model import (
     MASK_OFF,
+    DecoderCache,
     Example,
     LengthError,
     Model,
@@ -280,6 +282,34 @@ class TestDecode:
         out = fused.decode_states(altered, memory, knowledge).data
         np.testing.assert_array_equal(base[:-1], out[:-1])
         assert not np.array_equal(base[-1], out[-1])
+
+    def test_one_position_steps_skip_the_all_zero_causal_bias(self, fused, tok, monkeypatch):
+        """Cached one-position steps pass no causal bias, and their distributions equal the
+        ones that add the all-zero bias, bit for bit."""
+        memory = fused.encode_setup(tok.encode("the cat sat"))
+        knowledge = fused.encode_triples(TRIPLES)
+        steps = [[tok.bos_id]] + [[i] for i in tok.encode("the dog walked")]
+
+        def decode(force_bias: bool):
+            attend, biases = model_module.multi_head_attention, []
+
+            def recording(q_in, kv_in, p, prefix, *args, bias=None, **kwargs):
+                if prefix.endswith(".self"):
+                    biases.append(bias)
+                    if force_bias and bias is None:
+                        bias = np.zeros((1, 1))
+                return attend(q_in, kv_in, p, prefix, *args, bias=bias, **kwargs)
+
+            monkeypatch.setattr(model_module, "multi_head_attention", recording)
+            cache = DecoderCache()
+            dists = [fused.decode_step(ids, memory, knowledge, cache) for ids in steps]
+            monkeypatch.undo()
+            return dists, biases
+
+        skipped, biases = decode(False)
+        assert len(biases) == len(steps) * TINY.n_blocks and all(b is None for b in biases)
+        for got, want in zip(skipped, decode(True)[0]):
+            np.testing.assert_array_equal(got, want)
 
     def test_empty_triples_fall_back_to_plain_path(self, fused, tok):
         memory = fused.encode_setup(tok.encode("the cat sat"))

@@ -1,9 +1,13 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from punchgen import autograd as ag
+from punchgen import model as model_module
 from punchgen import training
 from punchgen.config import ModelConfig, TrainConfig, preset
 from punchgen.corpus import DatasetSplit, JokeRecord
@@ -22,6 +26,9 @@ from punchgen.training import (
     train_step,
     transplant,
 )
+from suite_support import bounded
+
+from perfbench.tracing import tape_nodes
 
 TINY = ModelConfig(d_model=8, n_blocks=1, n_heads=2, d_ff=16, vocab_size=300,
                    max_len=32, dropout=0.0)
@@ -227,6 +234,180 @@ class TestTwoThreads:
             assert list(got) == list(want)
             for k in want:
                 np.testing.assert_array_equal(got[k], want[k], err_msg=f"{what} {k}")
+
+
+@pytest.fixture(scope="module")
+def desk_tok():
+    return train_tokenizer([r.full_text() for r in TRIPLED] + [" ".join(t) for r in TRIPLED for t in r.triples],
+                           vocab_size=300)
+
+
+def desk(tok, fused: bool) -> Model:
+    """A desk-preset model (dropout 0.1) from a fixed seed."""
+    cfg = preset("desk").model
+    return Model(init_params(np.random.default_rng(3), cfg, tok.vocab_size, fused=fused), cfg, tok, fused=fused)
+
+
+class TestForwardBeside:
+    """Model.loss_sum at autograd.LEAF_FLOOR 0, where the graph encoder runs on autograd's worker
+    beside the set-up encoder and every block's cross-attention and fusion keys and values
+    follow it there, against the default floor, where the desk model runs on one thread."""
+
+    @staticmethod
+    def forward_backward(model, batch):
+        """Loss, tokens, tape nodes and every gradient of one loss_sum at dropout 0.1, then
+        eval_loss of the batch."""
+        loss, tokens = model.loss_sum(batch, dropout_rng=np.random.default_rng(4))
+        nodes = tape_nodes(loss)
+        loss.backward()
+        grads = {k: p.grad for k, p in model.params.items()}
+        for p in model.params.values():
+            p.zero_grad()
+        return float(loss.data), tokens, nodes, grads, eval_loss(model, batch)
+
+    @pytest.mark.parametrize("fused, records", [(True, TRIPLED), (True, RECORDS), (False, TRIPLED)],
+                             ids=["fused-mixed", "fused-no-triples", "plain"])
+    def test_loss_gradients_and_eval_are_bit_identical(self, desk_tok, monkeypatch, fused, records):
+        model = desk(desk_tok, fused)
+        batch = prepare_examples(records, desk_tok, model.cfg)
+        assert not model.uses_worker
+        serial = self.forward_backward(model, batch)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        assert model.uses_worker
+        handed = self.forward_backward(model, batch)
+        assert handed[:3] == serial[:3] and handed[4] == serial[4]
+        assert list(handed[3]) == list(serial[3])
+        for k, want in serial[3].items():
+            np.testing.assert_array_equal(handed[3][k], want, err_msg=k)
+
+    @staticmethod
+    def counting_submits(monkeypatch) -> list:
+        """The thread names of every job submitted to autograd's worker from now on."""
+        submit, calls = ag._WORKER.submit, []
+
+        def counting(fn, *args, **kwargs):
+            calls.append(threading.current_thread().name)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(ag._WORKER, "submit", counting)
+        return calls
+
+    def test_desk_training_submits_nothing_at_the_default_floor(self, desk_tok, monkeypatch):
+        model = desk(desk_tok, True)
+        batch = prepare_examples(TRIPLED, desk_tok, model.cfg)
+        calls = self.counting_submits(monkeypatch)
+        train_step(model, batch, Adam(1e-3), np.random.default_rng(4))
+        eval_loss(model, batch)
+        assert calls == []
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)  # the counter's control
+        model.loss_sum(batch)
+        assert len(calls) == 1 + 2 * model.cfg.n_blocks  # the graphs, then each block's cross and fusion
+
+    def test_forward_on_the_worker_runs_inline(self, desk_tok, monkeypatch):
+        model = desk(desk_tok, True)
+        batch = prepare_examples(TRIPLED, desk_tok, model.cfg)
+        want = float(model.loss_sum(batch)[0].data)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        calls = self.counting_submits(monkeypatch)
+        got, _ = bounded(lambda: ag.run_beside(lambda: float(model.loss_sum(batch)[0].data), lambda: None))
+        assert got == want
+        assert len(calls) == 1  # run_beside's job; the forward in it submitted nothing
+
+    def test_graph_error_surfaces_and_leaves_the_worker_idle(self, desk_tok, monkeypatch):
+        model = desk(desk_tok, True)
+        batch = prepare_examples(TRIPLED, desk_tok, model.cfg)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        threads = []
+
+        def failing(*args):
+            threads.append(threading.current_thread().name)
+            time.sleep(0.05)
+            raise RuntimeError("graph failed")
+
+        monkeypatch.setattr(model_module, "encode_knowledge", failing)
+        with pytest.raises(RuntimeError, match="graph failed"):
+            model.loss_sum(batch)
+        assert len(threads) == 1 and threads[0].startswith("autograd")
+        assert ag._WORKER._work_queue.empty()
+        start = time.perf_counter()
+        assert bounded(lambda: ag.run_beside(lambda: 1, lambda: 2), seconds=5) == (1, 2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_caller_error_waits_for_the_graph_job(self, desk_tok, monkeypatch):
+        model = desk(desk_tok, True)
+        batch = prepare_examples(TRIPLED, desk_tok, model.cfg)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        encode, done = model_module.encode_knowledge, []
+
+        def slow(*args):
+            time.sleep(0.05)
+            out = encode(*args)
+            done.append(1)
+            return out
+
+        def failing(*args, **kwargs):
+            raise KeyError("set-up failed")
+
+        monkeypatch.setattr(model_module, "encode_knowledge", slow)
+        monkeypatch.setattr(Model, "encode_setup", failing)
+        with pytest.raises(KeyError, match="set-up failed"):
+            model.loss_sum(batch)
+        assert done == [1]
+
+    def test_no_tape_on_the_worker_under_no_grad(self, desk_tok, monkeypatch):
+        model = desk(desk_tok, True)
+        batch = prepare_examples(TRIPLED, desk_tok, model.cfg)
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        make, made = ag._make, []
+
+        def recording(data, parents, backward):
+            out = make(data, parents, backward)
+            if threading.current_thread().name.startswith("autograd"):
+                made.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(ag, "_make", recording)
+        eval_loss(model, batch)
+        assert made and not any(made)
+        made.clear()
+        model.loss_sum(batch)  # the control: with grad on, the worker's tensors record a tape
+        assert made and all(made)
+
+    def test_concurrent_training_gets_the_serial_bytes(self, desk_tok, monkeypatch):
+        """Two threads train their own fused desk model at floor 0 with a short switch interval,
+        sharing the one worker; each gets the losses, weights and valid loss of a serial run."""
+        batch = prepare_examples(TRIPLED, desk_tok, preset("desk").model)
+
+        def run():
+            model, rng = desk(desk_tok, True), np.random.default_rng(4)
+            opt = Adam(1e-3)
+            losses = [train_step(model, batch, opt, rng)[0] for _ in range(3)]
+            return losses, {k: p.data.copy() for k, p in model.params.items()}, eval_loss(model, batch)
+
+        want = run()
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        results = []
+
+        def repeat():
+            for _ in range(2):
+                results.append(run())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=repeat) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        for losses, weights, val in results:
+            assert losses == want[0] and val == want[2]
+            for k, w in want[1].items():
+                np.testing.assert_array_equal(weights[k], w, err_msg=k)
 
 
 class TestPrepareExamples:
