@@ -13,8 +13,8 @@ order, while the calling thread walks the tape through the activations.
 Each leaf's contributions are summed on one thread in the serial order, so
 gradients are bit-identical to a serial backward. `beside` and `run_beside`
 lend the same worker to other code (the forward, the optimizer,
-generation). The worker never queues work for itself: there, a backward
-and the jobs of `beside` run inline.
+generation, parameter init). The worker never queues work for itself:
+there, a backward and the jobs of `beside` run inline.
 
 All data is kept in float64 so finite-difference gradient checks are
 meaningful at tight tolerances.
@@ -24,28 +24,59 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import copy
 import math
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 
 import numpy as np
 
 # Elements; a smaller leaf's gradient work stays on the calling thread. Handing off the
 # desk preset's leaves (at most 58,688 elements) cost more than it saved.
 LEAF_FLOOR = 1 << 17
-_worker_ident = None
 
 
-def _name_worker() -> None:
-    global _worker_ident
-    _worker_ident = threading.get_ident()
+class _Worker:
+    """One daemon thread that runs the calls submitted to it in submission order.
+
+    The thread starts on the first submit. As a daemon it never holds up the
+    interpreter's exit, so a job that waits for one queued behind it fails the
+    caller's wait (a timeout) instead of hanging the process.
+    """
+
+    def __init__(self):
+        self._work_queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._start = threading.Lock()
+        self.ident = None
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        if self.ident is None:
+            with self._start:
+                if self.ident is None:
+                    thread = threading.Thread(target=self._run, name="autograd", daemon=True)
+                    thread.start()
+                    self.ident = thread.ident
+        future = Future()
+        self._work_queue.put((future, fn, args, kwargs))
+        return future
+
+    def _run(self) -> None:
+        while True:
+            future, fn, args, kwargs = self._work_queue.get()
+            if future.set_running_or_notify_cancel():
+                try:
+                    future.set_result(fn(*args, **kwargs))
+                except BaseException as exc:  # noqa: BLE001 - raised to the caller by the future
+                    future.set_exception(exc)
+            del future, fn, args, kwargs  # hold no finished job's arrays while waiting
 
 
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="autograd", initializer=_name_worker)
+_WORKER = _Worker()
 
 
 def _on_worker() -> bool:
-    return threading.get_ident() == _worker_ident
+    return threading.get_ident() == _WORKER.ident
 
 
 # Per-thread state: every thread starts from the defaults. A context variable is read in a
@@ -567,3 +598,94 @@ def xavier_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 def parameter(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(xavier_uniform(rng, shape), requires_grad=True)
+
+
+DRAW_CHUNK = 1 << 15  # elements: a 256 KiB float64 slice
+
+
+class UniformDraws:
+    """A stand-in for a Generator in init code: it lists each `uniform(low, high, size)` asked of
+    it, in order, and hands back the unfilled array that `make` fills with that draw.
+
+    Generator.uniform is low + (high - low) * next_double, and PCG64 makes each double of
+    `random` from one 64-bit output, so a draw of n values moves the stream n steps and
+    `bit_generator.advance` can jump past it exactly (O'Neill 2014). `make` uses this when
+    the generator is a PCG64: with `split`, the listed draws go in two runs of about equal
+    size, the second on the worker thread from a copy of the generator advanced past the
+    first; and an array that `give` fills with a copy instead is not drawn, the run's
+    generator jumping past its draw. Either way every array, and the generator's state
+    afterwards, are those of drawing each in turn.
+    """
+
+    def __init__(self):
+        self.draws: list[list] = []  # [array, low, high, copy source or None], in draw order
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        out = np.empty(size)
+        self.draws.append([out, low, high, None])
+        return out
+
+    def give(self, array: np.ndarray, source: np.ndarray) -> bool:
+        """Have `make` fill `array` with a copy of `source`, of its shape, instead of its draw;
+        False, and nothing done, when `array` is not listed."""
+        for draw in self.draws:
+            if draw[0] is array:
+                draw[3] = source
+                return True
+        return False
+
+    def make(self, rng: np.random.Generator, split: bool) -> None:
+        """Fill every listed array from rng, leaving rng past all of the draws."""
+        if not isinstance(rng.bit_generator, np.random.PCG64):  # no exact jump-ahead
+            for array, low, high, source in self.draws:
+                _draw(rng, array, low, high)
+                if source is not None:
+                    np.copyto(array, source)
+            return
+        sizes = np.cumsum([array.size for array, *_ in self.draws])
+        cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1 if split and self.draws else len(self.draws)
+        if cut == len(self.draws):
+            _make_run(rng, self.draws)
+            return
+        ahead = copy.deepcopy(rng.bit_generator)
+        ahead.advance(int(sizes[cut - 1]))
+        run_beside(lambda: _make_run(np.random.Generator(ahead), self.draws[cut:]),
+                   lambda: _make_run(rng, self.draws[:cut]))
+        _advance(rng.bit_generator, int(sizes[-1] - sizes[cut - 1]))
+
+
+def _draw(rng: np.random.Generator, out: np.ndarray, low: float, high: float) -> None:
+    """out[...] = rng.uniform(low, high, out.shape), bit for bit, in place: slice by slice of
+    DRAW_CHUNK elements, so each slice is scaled and shifted while it is in cache."""
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, DRAW_CHUNK):
+        part = flat[lo:lo + DRAW_CHUNK]
+        rng.random(out=part)
+        part *= high - low
+        part += low
+
+
+def _make_run(rng: np.random.Generator, draws: list) -> None:
+    """The draws in turn from rng, a PCG64's Generator, jumping past those given a copy."""
+    skipped = 0
+    for array, low, high, source in draws:
+        if source is not None:
+            np.copyto(array, source)
+            skipped += array.size
+            continue
+        if skipped:
+            _advance(rng.bit_generator, skipped)
+            skipped = 0
+        _draw(rng, array, low, high)
+    if skipped:
+        _advance(rng.bit_generator, skipped)
+
+
+def _advance(bit_generator: np.random.PCG64, steps: int) -> None:
+    """bit_generator.advance(steps), keeping the buffered 32-bit half that advance clears; the
+    doubles it jumps past would not have used it."""
+    state = bit_generator.state
+    bit_generator.advance(steps)
+    ahead = bit_generator.state
+    ahead["has_uint32"], ahead["uinteger"] = state["has_uint32"], state["uinteger"]
+    bit_generator.state = ahead

@@ -169,14 +169,16 @@ def cmd_knowledge_annotate(args) -> int:
         store = knowledge.SparqlTripleStore(args.sparql_url, cache_path=args.cache)
     else:
         raise UsageError("choose --fixtures PATH or --live")
+    before = resource.getrusage(resource.RUSAGE_SELF)
     annotated = knowledge.annotate_dataset(
         records, linker, store,
         max_per_entity=cfg.max_per_entity, in_flight=args.workers)
+    usage = _usage_since(before)
     out = Path(args.output or args.input + ".annotated")
     write_jsonl(annotated, out)
     _write_meta(out, "knowledge annotate", cfg)
     covered = sum(1 for r in annotated if r.triples)
-    log_event(event="knowledge.annotated", records=len(annotated), with_triples=covered)
+    log_event(event="knowledge.annotated", records=len(annotated), with_triples=covered, **usage)
     say(f"annotated {len(annotated)} records ({covered} with triples) -> {out}")
     return 0
 
@@ -209,6 +211,13 @@ def _load_splits(data_dir: str):
         valid=read_jsonl(data / "valid.jsonl"),
         test=read_jsonl(data / "test.jsonl") if (data / "test.jsonl").exists() else [],
     )
+
+
+def _usage_since(before) -> dict:
+    """System seconds and minor page faults since the getrusage result `before`, over every
+    thread of the process."""
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return {"sys_s": after.ru_stime - before.ru_stime, "minflt": after.ru_minflt - before.ru_minflt}
 
 
 def _measured(train):
@@ -295,14 +304,15 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "
                          f"got {cfg.max_decode_len}")
     out = Path(args.output)
-    start = time.perf_counter()
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     n = generate_file(args.input, model, out, beam=cfg.beam, max_len=cfg.max_decode_len,
                       length_normalize=not args.raw_score,
                       refs_path=args.refs_output)
     seconds = time.perf_counter() - start
+    usage = _usage_since(before)
     _write_meta(out, "generate", cfg)
     log_event(event="generate.done", records=n, beam=cfg.beam, seconds=seconds,
-              records_per_s=n / seconds, decode_threads=decode_threads(model, n))
+              records_per_s=n / seconds, decode_threads=decode_threads(model, n), **usage)
     say(f"generated {n} punchlines -> {out}")
     return 0
 
@@ -310,9 +320,10 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluation import evaluate_corpus
 
-    start = time.perf_counter()
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     report = evaluate_corpus(args.hyps, args.refs)
     seconds = time.perf_counter() - start
+    usage = _usage_since(before)
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")
@@ -322,7 +333,7 @@ def cmd_evaluate(args) -> int:
         say(report.table())
     log_event(event="evaluate.done", **{k: v for k, v in report.to_dict().items()
                                         if k != "n_lines"}, n_lines=report.n_lines,
-              seconds=seconds, lines_per_s=report.n_lines / seconds)
+              seconds=seconds, lines_per_s=report.n_lines / seconds, **usage)
     return 0
 
 

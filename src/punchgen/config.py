@@ -12,8 +12,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 
 @dataclass
 class ModelConfig:
@@ -97,11 +95,17 @@ class RunConfig:
         extra = {k: v for k, v in data.items() if k not in ("model", "train")}
         return cls(model=model, train=train, **extra)
 
+    # yaml is imported on the first save or load, not with the module: only --config runs use
+    # it, and it costs every other command about 15 ms to load
     def save(self, path: str | Path) -> None:
+        import yaml
+
         Path(path).write_text(yaml.safe_dump(self.to_dict(), sort_keys=True), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        import yaml
+
         return cls.from_dict(yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {})
 
 

@@ -42,6 +42,7 @@ _ROW_BREAK = b"Q"
 # space; UTF-8 encodes a non-ASCII character in bytes >= 0x80 only, so none survives
 _WORD_BYTES = bytes(b if _TOKEN_RE.fullmatch(chr(b)) or bytes([b]) == _ROW_BREAK else 0x20
                     for b in range(256))
+WORD_CHUNK = 1024  # texts that word_ids splits into words at once
 
 
 class SegmentationError(Exception):
@@ -168,19 +169,25 @@ def bow_vector(text: str) -> BowVector:
 def word_ids(texts: list[str]) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
     """Every word of every text, as bow_tokens finds them, in text order: (row, ids, vocab).
 
-    One pass over the lower-cased texts' UTF-8 bytes, joined by _ROW_BREAK:
-    the bytes that _TOKEN_RE does not match become spaces, and the words
-    are what lies between them. row[k] is the index of the text that holds
-    word k and ids[k] its id; ids number the words from 1 in order of first
-    appearance, and vocab[i] is the ASCII bytes of word i (vocab[0] is the
-    break).
+    One pass over the lower-cased texts' UTF-8 bytes, WORD_CHUNK texts at a
+    time joined by _ROW_BREAK, so that only one chunk's words are ever held
+    as bytes objects: the bytes that _TOKEN_RE does not match become
+    spaces, and the words are what lies between them. row[k] is the index
+    of the text that holds word k and ids[k] its id; ids number the words
+    from 1 in order of first appearance, and vocab[i] is the ASCII bytes of
+    word i (vocab[0] is the break).
     """
-    joined = (b" %b " % _ROW_BREAK).join([text.lower().encode("utf-8", "replace") for text in texts])
-    words = joined.translate(_WORD_BYTES).split()
-    vocab = dict(zip(dict.fromkeys([_ROW_BREAK, *words]), itertools.count()))
-    ids = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
-    breaks = ids == 0
-    return np.cumsum(breaks)[~breaks], ids[~breaks], list(vocab)
+    vocab = {_ROW_BREAK: 0}
+    rows, ids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for lo in range(0, len(texts), WORD_CHUNK):
+        chunk = [text.lower().encode("utf-8", "replace") for text in texts[lo:lo + WORD_CHUNK]]
+        words = (b" %b " % _ROW_BREAK).join(chunk).translate(_WORD_BYTES).split()
+        vocab.update(zip([w for w in dict.fromkeys(words) if w not in vocab], itertools.count(len(vocab))))
+        numbered = np.fromiter(map(vocab.__getitem__, words), dtype=np.int64, count=len(words))
+        breaks = numbered == 0
+        rows.append(lo + np.cumsum(breaks)[~breaks])
+        ids.append(numbered[~breaks])
+    return np.concatenate(rows), np.concatenate(ids), list(vocab)
 
 
 def bow_rows(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

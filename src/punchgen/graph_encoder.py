@@ -24,17 +24,29 @@ GAT_WEIGHTS = ("wq", "wk", "wv")
 LEAKY_SLOPE = 0.2  # of the LeakyReLU on each head's output
 
 
-def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.Tensor]:
-    """Xavier blocks of (d_model, d_head) drawn in (layer, head, weight) order, then stacked."""
-    d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
+def draw_gat_blocks(rng: np.random.Generator, cfg: ModelConfig) -> list[np.ndarray]:
+    """One Xavier (n_heads, 3, d_model, d_head) block per layer: its (d_model, d_head) blocks in
+    (head, weight) order."""
+    d, dh = cfg.d_model, cfg.d_head
     bound = ag.xavier_bound(d, dh)
+    return [rng.uniform(-bound, bound, size=(cfg.n_heads, len(GAT_WEIGHTS), d, dh))
+            for _ in range(cfg.gat_layers)]
+
+
+def stack_gat_blocks(blocks: list[np.ndarray]) -> dict[str, ag.Tensor]:
+    """The layers' weights gat.{layer}.{w}, each head's block side by side."""
     params = {}
-    for layer in range(cfg.gat_layers):
-        blocks = rng.uniform(-bound, bound, size=(heads, len(GAT_WEIGHTS), d, dh))
+    for layer, block in enumerate(blocks):
+        heads, _, d, dh = block.shape
         for i, w in enumerate(GAT_WEIGHTS):
-            stacked = blocks[:, i].transpose(1, 0, 2).reshape(d, heads * dh)
+            stacked = block[:, i].transpose(1, 0, 2).reshape(d, heads * dh)
             params[f"gat.{layer}.{w}"] = ag.Tensor(stacked, requires_grad=True)
     return params
+
+
+def init_gat_params(rng: np.random.Generator, cfg: ModelConfig) -> dict[str, ag.Tensor]:
+    """Xavier blocks of (d_model, d_head) drawn in (layer, head, weight) order, then stacked."""
+    return stack_gat_blocks(draw_gat_blocks(rng, cfg))
 
 
 def split_heads(x: ag.Tensor, n_heads: int) -> ag.Tensor:

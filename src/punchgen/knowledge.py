@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-import requests
-
 from .corpus import JokeRecord
 
 log = logging.getLogger(__name__)
@@ -139,6 +137,10 @@ class _ResponseCache:
 
 
 def _request_with_retries(method, url, *, unavailable_exc, timeout, retries, backoff, **kwargs):
+    # imported on the first request, not with the module: only live annotation needs it, and it
+    # costs every other command about 80 ms to load
+    import requests
+
     last = None
     for attempt in range(retries):
         try:

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import autograd as ag
 from .config import ModelConfig
-from .graph_encoder import (MASK_OFF, encode_knowledge, in_neighbor_mask, init_gat_params,
-                            merge_heads, split_heads)
+from .graph_encoder import (MASK_OFF, draw_gat_blocks, encode_knowledge, in_neighbor_mask,
+                            merge_heads, split_heads, stack_gat_blocks)
 from .kgraph import KnowledgeGraph, build_graph, init_node_features, init_node_params
 from .tokenizer import Tokenizer
 
@@ -100,33 +100,58 @@ def _ff_params(rng, prefix: str, d: int, d_ff: int) -> dict[str, ag.Tensor]:
     }
 
 
-def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int,
-                fused: bool) -> dict[str, ag.Tensor]:
-    """All learnable tensors; `fused` adds the knowledge-side partition."""
+def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int, fused: bool,
+                pretrained: dict[str, ag.Tensor] | None = None) -> dict[str, ag.Tensor]:
+    """All learnable tensors; `fused` adds the knowledge-side partition.
+
+    The Xavier draws are listed first, in order (each GAT layer's (heads, 3, d, d_head)
+    block is one draw, stacked afterwards), then made by `ag.UniformDraws.make`: in two
+    runs, one on autograd's worker, when the size rule of `Model.uses_worker` holds. Every
+    tensor and rng's next draws are those of drawing each tensor in turn. With `pretrained`,
+    every pretrainable tensor is a copy of its namesake there instead, and rng jumps past its
+    draw; a missing or differently shaped namesake raises KeyError or ValueError.
+    """
+    draws = ag.UniformDraws()
     d, d_ff = cfg.d_model, cfg.d_ff
     params: dict[str, ag.Tensor] = {
-        "emb": ag.parameter(rng, (vocab_size, d)),
+        "emb": ag.parameter(draws, (vocab_size, d)),
     }
     for n in range(cfg.n_blocks):
-        params.update(_attn_params(rng, f"enc.{n}.attn", d))
+        params.update(_attn_params(draws, f"enc.{n}.attn", d))
         params.update(_ln_params(f"enc.{n}.ln1", d))
-        params.update(_ff_params(rng, f"enc.{n}.ff", d, d_ff))
+        params.update(_ff_params(draws, f"enc.{n}.ff", d, d_ff))
         params.update(_ln_params(f"enc.{n}.ln2", d))
     for n in range(cfg.n_blocks):
-        params.update(_attn_params(rng, f"dec.{n}.self", d))
+        params.update(_attn_params(draws, f"dec.{n}.self", d))
         params.update(_ln_params(f"dec.{n}.ln1", d))
-        params.update(_attn_params(rng, f"dec.{n}.cross", d))
+        params.update(_attn_params(draws, f"dec.{n}.cross", d))
         params.update(_ln_params(f"dec.{n}.ln2", d))
         if fused:
-            params.update(_attn_params(rng, f"dec.{n}.fuse", d))
-            params[f"dec.{n}.gate.wg"] = ag.parameter(rng, (d, d))
-        params.update(_ff_params(rng, f"dec.{n}.ff", d, d_ff))
+            params.update(_attn_params(draws, f"dec.{n}.fuse", d))
+            params[f"dec.{n}.gate.wg"] = ag.parameter(draws, (d, d))
+        params.update(_ff_params(draws, f"dec.{n}.ff", d, d_ff))
         params.update(_ln_params(f"dec.{n}.ln3", d))
-    params["out.w"] = ag.parameter(rng, (vocab_size, d))
+    params["out.w"] = ag.parameter(draws, (vocab_size, d))
     if fused:
-        params.update(init_node_params(rng, vocab_size, cfg))
-        params.update(init_gat_params(rng, cfg))
+        params.update(init_node_params(draws, vocab_size, cfg))
+    gat_blocks = draw_gat_blocks(draws, cfg) if fused else []
+    for name, tensor in params.items():
+        if pretrained is None or is_knowledge_only(name):
+            continue
+        source = pretrained[name].data
+        if source.shape != tensor.shape:
+            raise ValueError(f"{name!r} ({source.shape}, not {tensor.shape})")
+        if not draws.give(tensor.data, source):
+            tensor.data = source.copy()
+    draws.make(rng, split=_uses_worker(cfg))
+    params.update(stack_gat_blocks(gat_blocks))
     return params
+
+
+def _uses_worker(cfg: ModelConfig) -> bool:
+    """Whether a model of `cfg` shares its work with autograd's worker thread: its decoder's
+    feed-forward weight has at least `autograd.LEAF_FLOOR` elements."""
+    return cfg.d_model * cfg.d_ff >= ag.LEAF_FLOOR
 
 
 def sinusoidal_positions(length: int, d: int) -> np.ndarray:
@@ -268,8 +293,8 @@ class Model:
     @property
     def uses_worker(self) -> bool:
         """Whether the training forward and generation share their work with autograd's worker
-        thread: the decoder's feed-forward weight has at least `autograd.LEAF_FLOOR` elements."""
-        return self.params["dec.0.ff.w1"].data.size >= ag.LEAF_FLOOR
+        thread (`_uses_worker`, which init_params shares)."""
+        return _uses_worker(self.cfg)
 
     # -------------------------------------------------------------- embeddings
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from .config import ModelConfig, TrainConfig
 from .corpus import DatasetSplit, JokeRecord
-from .model import Example, Model, init_params, is_knowledge_only
+from .model import Example, Model, init_params
 from .tokenizer import Tokenizer
 
 EVAL_BATCH = 16  # examples per validation forward; a large valid split never becomes one forward
@@ -273,19 +273,19 @@ def pretrain(split: DatasetSplit, mcfg: ModelConfig, tcfg: TrainConfig,
 
 
 def transplant(pretrained: Model, seed: int = 0) -> Model:
-    """Copy the pretrainable partition into a freshly initialized fused model."""
+    """Copy the pretrainable partition into a freshly initialized fused model.
+
+    Only the knowledge-only tensors are drawn; the generator jumps past the pretrainable
+    ones' draws, so each tensor is the one a full draw from `seed` would give.
+    """
     if pretrained.fused:
         raise ConfigMismatch("transplant source must be a plain (non-fused) model")
     cfg = pretrained.cfg
-    rng = np.random.default_rng(seed)
-    params = init_params(rng, cfg, pretrained.tokenizer.vocab_size, fused=True)
-    for name, tensor in params.items():
-        if is_knowledge_only(name):
-            continue
-        src = pretrained.params.get(name)
-        if src is None or src.data.shape != tensor.data.shape:
-            raise ConfigMismatch(f"pretrained checkpoint lacks compatible tensor {name!r}")
-        tensor.data = src.data.copy()
+    try:
+        params = init_params(np.random.default_rng(seed), cfg, pretrained.tokenizer.vocab_size,
+                             fused=True, pretrained=pretrained.params)
+    except (KeyError, ValueError) as exc:
+        raise ConfigMismatch(f"pretrained checkpoint lacks compatible tensor {exc}") from exc
     return Model(params, cfg, pretrained.tokenizer, fused=True)
 
 

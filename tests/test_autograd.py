@@ -1,6 +1,8 @@
 """Finite-difference checks for every autodiff primitive."""
 
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
-from suite_support import bounded
+from suite_support import bounded, subprocess_env
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -493,6 +495,25 @@ class TestThreads:
         assert ag.run_beside(grad_mode, grad_mode) == (True, True)
         with ag.no_grad():
             assert ag.run_beside(grad_mode, grad_mode) == (False, False)
+
+    def test_a_deadlocked_worker_fails_the_run_instead_of_hanging_it(self):
+        """A worker job that waits for a job queued behind it never returns. The child's wait
+        for it times out, and the child must exit with that error rather than hang on the
+        worker thread at interpreter exit."""
+        child = textwrap.dedent("""
+            import threading
+            from punchgen import autograd as ag
+
+            queued, behind = threading.Event(), []
+            stuck = ag._WORKER.submit(lambda: queued.wait() and behind[0].result())
+            behind.append(ag._WORKER.submit(lambda: 1))
+            queued.set()
+            stuck.result(timeout=1)
+        """)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=60)
+        assert proc.returncode == 1
+        assert "TimeoutError" in proc.stderr.splitlines()[-1]
 
     def test_the_worker_never_waits_for_itself(self, monkeypatch):
         """run_beside and a backward reached from a worker job run inline there."""

@@ -26,6 +26,25 @@ def run_proc(*argv, cwd=None):
                           capture_output=True, text=True, cwd=cwd, env=subprocess_env())
 
 
+def assert_usage(event: dict) -> None:
+    """The phase's system seconds and minor page faults are there, as getrusage deltas."""
+    assert isinstance(event["sys_s"], float) and event["sys_s"] >= 0
+    assert isinstance(event["minflt"], int) and event["minflt"] >= 0
+
+
+class TestLazyImports:
+    def test_program_modules_leave_requests_and_yaml_unimported(self):
+        """Only live annotation uses requests and only --config runs use yaml, so a fresh
+        interpreter that imports the program's modules has loaded neither."""
+        modules = ("cli", "corpus", "decoding", "evaluation", "knowledge", "training")
+        code = (f"import sys\nimport {', '.join('punchgen.' + m for m in modules)}\n"
+                "print(sorted({'numpy', 'requests', 'yaml'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=subprocess_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['numpy']"  # numpy is the control: imports are seen
+
+
 class TestDispatch:
     def test_help_exits_zero(self):
         proc = run_proc("--help")
@@ -86,7 +105,7 @@ class TestAnnotateAndDump:
                 "--output-dir", str(out), "--seed", "1")
         return out
 
-    def test_annotate_fixture_mode(self, data_dir):
+    def test_annotate_fixture_mode(self, data_dir, capsys):
         out = data_dir / "train.ann.jsonl"
         code = run_cli("knowledge", "annotate", "--input", str(data_dir / "train.jsonl"),
                        "--fixtures", str(FIXTURES / "knowledge.json"),
@@ -95,6 +114,9 @@ class TestAnnotateAndDump:
         lines = [json.loads(l) for l in out.read_text().strip().split("\n")]
         assert len(lines) == 28
         assert any(rec["triples"] for rec in lines)
+        done = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert done["event"] == "knowledge.annotated" and done["records"] == 28
+        assert_usage(done)
 
     def test_annotate_requires_provider_choice(self, data_dir):
         code = run_cli("knowledge", "annotate", "--input", str(data_dir / "train.jsonl"))
@@ -164,6 +186,7 @@ class TestGenerateFlags:
         assert done["seconds"] > 0
         assert done["records_per_s"] == pytest.approx(1 / done["seconds"])
         assert done["decode_threads"] == 1
+        assert_usage(done)
 
     @pytest.mark.parametrize("records,floor,threads", [(3, None, 1), (1, 0, 1), (3, 0, 2)])
     def test_done_event_counts_decode_threads(self, paths, capsys, monkeypatch, records, floor, threads):
@@ -479,6 +502,7 @@ class TestEvaluateCli:
         assert done["rouge1"]["f1"] == pytest.approx(75.0)
         assert done["seconds"] > 0
         assert done["lines_per_s"] == pytest.approx(2 / done["seconds"])
+        assert_usage(done)
 
     def test_empty_files_report_float_scores(self, tmp_path, capsys):
         hyps = tmp_path / "h.txt"

@@ -240,6 +240,23 @@ class TestWordIds:
             assert [vocab[k].decode() for k in ids[row == i].tolist()] == corpus.bow_tokens(text)
 
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunks_give_the_words_of_one_pass(self, monkeypatch, chunk):
+        """Texts numbered a few at a time give the row, ids (first-appearance order) and vocab
+        of one pass over all of them, and de-duplication keeps the same survivors."""
+        jokes = synthetic_jokes(40, seed=5)
+        jokes += [JokeRecord(j.setup, j.punchline) for j in jokes[::3]]  # exact duplicates to drop
+        texts = [j.full_text() for j in jokes] + ["", "Q q", "caf\u00e9 NAIVE"]
+        whole, survivors = corpus.word_ids(texts), deduplicate(jokes)
+        monkeypatch.setattr(corpus, "WORD_CHUNK", chunk)
+        row, ids, vocab = corpus.word_ids(texts)
+        assert row.dtype == whole[0].dtype and ids.dtype == whole[1].dtype
+        assert row.tolist() == whole[0].tolist() and ids.tolist() == whole[1].tolist()
+        assert vocab == whole[2]
+        assert deduplicate(jokes) == survivors
+        assert len(survivors) < len(jokes)
+
+
 class TestBowRows:
     @given(st.lists(EDGY_TEXT, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None, derandomize=True)

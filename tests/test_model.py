@@ -7,6 +7,7 @@ import pytest
 from punchgen import autograd as ag
 from punchgen import model as model_module
 from punchgen.config import ModelConfig, preset
+from punchgen.graph_encoder import init_gat_params
 from punchgen.model import (
     MASK_OFF,
     DecoderCache,
@@ -98,6 +99,70 @@ def np_encoder(ids, p, cfg):
         ff = ff @ p[f"enc.{n}.ff.w2"].data + p[f"enc.{n}.ff.b2"].data
         x = np_layer_norm(x + ff, p[f"enc.{n}.ln2.g"].data, p[f"enc.{n}.ln2.b"].data)
     return x
+
+
+class TestInitParams:
+    """init_params lists its draws, then makes them in two runs (the second on autograd's
+    worker, from a PCG64 jumped past the first) at or above the size rule of
+    `Model.uses_worker`, else in one. Either way every tensor and the generator's next draws
+    must be those of drawing each tensor in turn, as ag.xavier_uniform and init_gat_params do."""
+
+    @staticmethod
+    def generators(kind: str):
+        """Two equal generators, each holding a buffered 32-bit half, which no double draw reads."""
+        def make():
+            rng = np.random.default_rng(7) if kind == "pcg64" else np.random.Generator(np.random.MT19937(7))
+            rng.integers(0, 10, dtype=np.int32)
+            return rng
+        return make(), make()
+
+    @staticmethod
+    def assert_serial_draws(params: dict, rng, ref, cfg) -> None:
+        """Each tensor against a serial draw from `ref`, in dict order; the GAT layers last."""
+        gat = {}
+        for name, tensor in params.items():
+            last = name.rsplit(".", 1)[-1]
+            if name.startswith("gat."):
+                gat = gat or init_gat_params(ref, cfg)
+                want = gat[name].data
+            elif last.startswith("b") or last == "g":  # biases and layer-norm shifts, and gains
+                want = np.full(tensor.shape, float(last == "g"))
+            else:
+                want = ag.xavier_uniform(ref, tensor.shape)
+            got = tensor.data
+            assert got.dtype == np.float64 and got.flags.c_contiguous, name
+            assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        for draw in (lambda g: g.integers(0, 1 << 32, size=3, dtype=np.uint32), lambda g: g.random(3)):
+            assert draw(rng).tolist() == draw(ref).tolist()  # the buffered half first
+
+    @staticmethod
+    def counting_submits(monkeypatch) -> list:
+        submit, calls = ag._WORKER.submit, []
+        monkeypatch.setattr(ag._WORKER, "submit", lambda *a, **k: calls.append(1) or submit(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("floor", [None, 0], ids=["default-floor", "floor-0"])
+    @pytest.mark.parametrize("vocab", [674, 25_000])
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_tensors_and_next_draws_are_the_serial_ones(self, monkeypatch, name, fused, vocab, floor):
+        cfg = preset(name).model
+        if floor is not None:
+            monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
+        calls = self.counting_submits(monkeypatch)
+        rng, ref = self.generators("pcg64")
+        params = init_params(rng, cfg, vocab, fused)
+        assert len(calls) == (1 if name == "paper" or floor == 0 else 0)
+        self.assert_serial_draws(params, rng, ref, cfg)
+
+    def test_another_bit_generator_draws_serially(self, monkeypatch):
+        """Without PCG64's jump-ahead the draws stay on the calling thread, even at floor 0."""
+        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
+        calls = self.counting_submits(monkeypatch)
+        rng, ref = self.generators("mt19937")
+        params = init_params(rng, preset("desk").model, 674, fused=True)
+        assert calls == []
+        self.assert_serial_draws(params, rng, ref, preset("desk").model)
 
 
 class TestPositions:

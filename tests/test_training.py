@@ -593,6 +593,30 @@ class TestTransplant:
         with pytest.raises(ConfigMismatch):
             transplant(plain)
 
+    @pytest.mark.parametrize("name", ["enc.0.attn.wq", "enc.0.ln1.g"], ids=["drawn", "constant"])
+    def test_differently_shaped_tensor_rejected(self, tok, name):
+        plain = self._pretrained(tok)
+        plain.params[name] = ag.Tensor(np.zeros(plain.params[name].shape[:-1] + (3,)))
+        with pytest.raises(ConfigMismatch, match=name):
+            transplant(plain)
+
+    @pytest.mark.parametrize("floor", [None, 0], ids=["default-floor", "floor-0"])
+    def test_tensors_are_those_of_a_whole_fused_draw(self, tok, monkeypatch, floor):
+        """transplant draws only the knowledge-only tensors and jumps past the others' draws:
+        each tensor is a copy of the plain model's or the one a whole fused init_params from the
+        seed gives, as when transplant drew every tensor and dropped the pretrainable ones."""
+        if floor is not None:
+            monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
+        plain = self._pretrained(tok)
+        fused = transplant(plain, seed=3)
+        whole = init_params(np.random.default_rng(3), TINY, tok.vocab_size, fused=True)
+        assert list(fused.params) == list(whole)
+        for name, tensor in fused.params.items():
+            want = whole[name] if is_knowledge_only(name) else plain.params[name]
+            assert tensor.data is not want.data
+            assert tensor.data.dtype == want.data.dtype and tensor.data.flags.c_contiguous, name
+            assert tensor.data.tobytes() == want.data.tobytes(), name
+
 
 class TestFinetune:
     def test_gate_receives_gradient_and_moves(self, tok):
