@@ -600,9 +600,6 @@ def parameter(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(xavier_uniform(rng, shape), requires_grad=True)
 
 
-DRAW_CHUNK = 1 << 15  # elements: a 256 KiB float64 slice
-
-
 class UniformDraws:
     """A stand-in for a Generator in init code: it lists each `uniform(low, high, size)` asked of
     it, in order, and hands back the unfilled array that `make` fills with that draw.
@@ -655,14 +652,10 @@ class UniformDraws:
 
 
 def _draw(rng: np.random.Generator, out: np.ndarray, low: float, high: float) -> None:
-    """out[...] = rng.uniform(low, high, out.shape), bit for bit, in place: slice by slice of
-    DRAW_CHUNK elements, so each slice is scaled and shifted while it is in cache."""
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, DRAW_CHUNK):
-        part = flat[lo:lo + DRAW_CHUNK]
-        rng.random(out=part)
-        part *= high - low
-        part += low
+    """out[...] = rng.uniform(low, high, out.shape), bit for bit, in place."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
 
 
 def _make_run(rng: np.random.Generator, draws: list) -> None:

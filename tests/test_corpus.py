@@ -239,7 +239,6 @@ class TestWordIds:
         for i, text in enumerate(texts):
             assert [vocab[k].decode() for k in ids[row == i].tolist()] == corpus.bow_tokens(text)
 
-
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_chunks_give_the_words_of_one_pass(self, monkeypatch, chunk):
         """Texts numbered a few at a time give the row, ids (first-appearance order) and vocab
