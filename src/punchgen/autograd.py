@@ -11,10 +11,11 @@ at least LEAF_FLOOR elements): the weight product of a matmul, the scatter
 of an embedding lookup and every accumulation into that leaf, in tape
 order, while the calling thread walks the tape through the activations.
 Each leaf's contributions are summed on one thread in the serial order, so
-gradients are bit-identical to a serial backward. `beside` and `run_beside`
-lend the same worker to other code (the forward, the optimizer,
-generation, parameter init). The worker never queues work for itself:
-there, a backward and the jobs of `beside` run inline.
+gradients are bit-identical to a serial backward. `beside` lends the same
+worker to other code (the forward, the optimizer, generation, parameter
+init), and `halve` cuts a list of sizes into two runs, the second for the
+worker. The worker never queues work for itself: there, a backward and the
+jobs of `beside` run inline.
 
 All data is kept in float64 so finite-difference gradient checks are
 meaningful at tight tolerances.
@@ -120,16 +121,11 @@ def beside(on: bool = True):
             future.exception()  # waits
 
 
-def run_beside(job, own):
-    """Run job() on the worker thread while this thread runs own(); return (job(), own()).
-
-    As in `beside`: both calls have finished when it returns or raises, an error in
-    own() wins, and on the worker itself own() and then job() run inline.
-    """
-    with beside() as submit:
-        got = submit(job)
-        mine = own()
-        return got(), mine
+def halve(sizes) -> int:
+    """The index that cuts sizes into two runs of about equal sum, sizes[:i] for this thread
+    and sizes[i:] for the worker."""
+    ends = np.cumsum(sizes)
+    return int(np.searchsorted(ends, ends[-1] / 2)) + 1 if len(ends) else 0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -606,10 +602,10 @@ class UniformDraws:
 
     Generator.uniform is low + (high - low) * next_double, and PCG64 makes each double of
     `random` from one 64-bit output, so a draw of n values moves the stream n steps and
-    `bit_generator.advance` can jump past it exactly (O'Neill 2014). `make` uses this when
-    the generator is a PCG64: with `split`, the listed draws go in two runs of about equal
-    size, the second on the worker thread from a copy of the generator advanced past the
-    first; and an array that `give` fills with a copy instead is not drawn, the run's
+    `bit_generator.advance` can jump past it exactly (O'Neill 2014). `make` therefore takes a
+    PCG64's Generator. It cuts the listed draws into the two runs of `halve` and makes the
+    second from a copy of the generator advanced past the first, on the worker thread with
+    `split`; and an array that `give` fills with a copy instead is not drawn, the run's
     generator jumping past its draw. Either way every array, and the generator's state
     afterwards, are those of drawing each in turn.
     """
@@ -632,23 +628,16 @@ class UniformDraws:
         return False
 
     def make(self, rng: np.random.Generator, split: bool) -> None:
-        """Fill every listed array from rng, leaving rng past all of the draws."""
-        if not isinstance(rng.bit_generator, np.random.PCG64):  # no exact jump-ahead
-            for array, low, high, source in self.draws:
-                _draw(rng, array, low, high)
-                if source is not None:
-                    np.copyto(array, source)
-            return
-        sizes = np.cumsum([array.size for array, *_ in self.draws])
-        cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1 if split and self.draws else len(self.draws)
-        if cut == len(self.draws):
-            _make_run(rng, self.draws)
-            return
+        """Fill every listed array from rng, leaving rng where the serial draws would."""
+        sizes = [array.size for array, *_ in self.draws]
+        cut = halve(sizes)
         ahead = copy.deepcopy(rng.bit_generator)
-        ahead.advance(int(sizes[cut - 1]))
-        run_beside(lambda: _make_run(np.random.Generator(ahead), self.draws[cut:]),
-                   lambda: _make_run(rng, self.draws[:cut]))
-        _advance(rng.bit_generator, int(sizes[-1] - sizes[cut - 1]))
+        _advance(ahead, sum(sizes[:cut]))
+        with beside(split) as submit:
+            theirs = submit(lambda: _make_run(np.random.Generator(ahead), self.draws[cut:]))
+            _make_run(rng, self.draws[:cut])
+            theirs()
+        rng.bit_generator.state = ahead.state  # the worker's run ended where the draws end
 
 
 def _draw(rng: np.random.Generator, out: np.ndarray, low: float, high: float) -> None:

@@ -169,11 +169,8 @@ def cmd_knowledge_annotate(args) -> int:
         store = knowledge.SparqlTripleStore(args.sparql_url, cache_path=args.cache)
     else:
         raise UsageError("choose --fixtures PATH or --live")
-    before = resource.getrusage(resource.RUSAGE_SELF)
-    annotated = knowledge.annotate_dataset(
-        records, linker, store,
-        max_per_entity=cfg.max_per_entity, in_flight=args.workers)
-    usage = _usage_since(before)
+    annotated, usage = _measured(lambda: knowledge.annotate_dataset(
+        records, linker, store, max_per_entity=cfg.max_per_entity, in_flight=args.workers))
     out = Path(args.output or args.input + ".annotated")
     write_jsonl(annotated, out)
     _write_meta(out, "knowledge annotate", cfg)
@@ -213,27 +210,21 @@ def _load_splits(data_dir: str):
     )
 
 
-def _usage_since(before) -> dict:
-    """System seconds and minor page faults since the getrusage result `before`, over every
-    thread of the process."""
-    after = resource.getrusage(resource.RUSAGE_SELF)
-    return {"sys_s": after.ru_stime - before.ru_stime, "minflt": after.ru_minflt - before.ru_minflt}
-
-
-def _measured(train):
-    """Run train(); return its result and the wall, user and system seconds and the minor
-    page faults it took, over every thread of the process."""
+def _measured(phase):
+    """Run phase(); return its result and the usage fields of its event: the wall, user and
+    system seconds and the minor page faults it took, over every thread of the process."""
     before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    result = train()
+    result = phase()
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
     return result, {"wall_s": wall, "user_s": after.ru_utime - before.ru_utime,
                     "sys_s": after.ru_stime - before.ru_stime,
-                    "minor_faults": after.ru_minflt - before.ru_minflt}
+                    "minflt": after.ru_minflt - before.ru_minflt}
 
 
 def _save_trained(stage: str, result, usage: dict, out: Path, cfg) -> None:
-    """Write `<stage>.best` and its sidecar, emit train.done with `usage` and print the summary."""
+    """Write `<stage>.best` and its sidecar, emit train.done with `usage` (its minflt also as
+    minor_faults) and print the summary."""
     from .model import save_checkpoint
 
     out.mkdir(parents=True, exist_ok=True)
@@ -243,7 +234,8 @@ def _save_trained(stage: str, result, usage: dict, out: Path, cfg) -> None:
     # ru_maxrss is in KiB on Linux
     log_event(event="train.done", stage=stage, steps_run=result.steps_run,
               best_val_loss=result.best_val_loss,
-              peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, **usage)
+              peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+              minor_faults=usage["minflt"], **usage)
     say(f"{stage}: best valid loss {result.best_val_loss:.4f} "
         f"after {result.steps_run} steps -> {ckpt}")
 
@@ -304,15 +296,12 @@ def cmd_generate(args) -> int:
         raise UsageError(f"--max-len must be in [1, {model.cfg.max_len}] for {args.ckpt}, "
                          f"got {cfg.max_decode_len}")
     out = Path(args.output)
-    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    n = generate_file(args.input, model, out, beam=cfg.beam, max_len=cfg.max_decode_len,
-                      length_normalize=not args.raw_score,
-                      refs_path=args.refs_output)
-    seconds = time.perf_counter() - start
-    usage = _usage_since(before)
+    n, usage = _measured(lambda: generate_file(
+        args.input, model, out, beam=cfg.beam, max_len=cfg.max_decode_len,
+        length_normalize=not args.raw_score, refs_path=args.refs_output))
     _write_meta(out, "generate", cfg)
-    log_event(event="generate.done", records=n, beam=cfg.beam, seconds=seconds,
-              records_per_s=n / seconds, decode_threads=decode_threads(model, n), **usage)
+    log_event(event="generate.done", records=n, beam=cfg.beam, seconds=usage["wall_s"],
+              records_per_s=n / usage["wall_s"], decode_threads=decode_threads(model, n), **usage)
     say(f"generated {n} punchlines -> {out}")
     return 0
 
@@ -320,10 +309,7 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     from .evaluation import evaluate_corpus
 
-    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
-    report = evaluate_corpus(args.hyps, args.refs)
-    seconds = time.perf_counter() - start
-    usage = _usage_since(before)
+    report, usage = _measured(lambda: evaluate_corpus(args.hyps, args.refs))
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     if args.output:
         Path(args.output).write_text(payload + "\n", encoding="utf-8")
@@ -333,7 +319,7 @@ def cmd_evaluate(args) -> int:
         say(report.table())
     log_event(event="evaluate.done", **{k: v for k, v in report.to_dict().items()
                                         if k != "n_lines"}, n_lines=report.n_lines,
-              seconds=seconds, lines_per_s=report.n_lines / seconds, **usage)
+              seconds=usage["wall_s"], lines_per_s=report.n_lines / usage["wall_s"], **usage)
     return 0
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autograd as ag
 from .corpus import JokeRecord, read_jsonl
-from .model import DecoderCache, Model
+from .model import DecoderCache, Model, uses_worker
 
 
 @dataclass
@@ -109,7 +109,7 @@ def decode_record(model: Model, record: JokeRecord, beam: int = 5, max_len: int 
 
 def decode_threads(model: Model, n_records: int) -> int:
     """Threads `generate_file` decodes n_records records on: 2 when there are several and
-    the model `uses_worker` (its decoder's feed-forward weight has at least
+    `uses_worker(model.cfg)` (its decoder's feed-forward weight has at least
     `autograd.LEAF_FLOOR` elements), else 1.
 
     With 4 records, beam 5 and max_len 16 on 2 cores (best of 4), two threads ran 0.80x as
@@ -117,7 +117,7 @@ def decode_threads(model: Model, n_records: int) -> int:
     256 / 1024 and 1.82x at the paper preset: the floor lies between the second (65,536
     elements) and the third (262,144).
     """
-    return 2 if n_records > 1 and model.uses_worker else 1
+    return 2 if n_records > 1 and uses_worker(model.cfg) else 1
 
 
 def _decode_records(model: Model, records: list[JokeRecord], threads: int,
@@ -148,10 +148,10 @@ def _decode_records(model: Model, records: list[JokeRecord], threads: int,
         finally:
             stopped = True
 
-    if threads == 1:
+    with ag.beside(threads == 2) as submit:
+        other = submit(decode_some)
         decode_some()
-    else:
-        ag.run_beside(decode_some, decode_some)
+        other()  # on one thread it runs now and finds no record left
     return texts, failures
 
 

@@ -106,11 +106,15 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int, fus
 
     The Xavier draws are listed first, in order (each GAT layer's (heads, 3, d, d_head)
     block is one draw, stacked afterwards), then made by `ag.UniformDraws.make`: in two
-    runs, one on autograd's worker, when the size rule of `Model.uses_worker` holds. Every
-    tensor and rng's next draws are those of drawing each tensor in turn. With `pretrained`,
-    every pretrainable tensor is a copy of its namesake there instead, and rng jumps past its
-    draw; a missing or differently shaped namesake raises KeyError or ValueError.
+    runs, one on autograd's worker, when `uses_worker(cfg)`. Every tensor and rng's next
+    draws are those of drawing each tensor in turn. rng must be a PCG64's Generator (as
+    `np.random.default_rng` makes), whose draws can be jumped past; another raises TypeError.
+    With `pretrained`, every pretrainable tensor is a copy of its namesake there instead, and
+    rng jumps past its draw; a missing or differently shaped namesake raises KeyError or
+    ValueError.
     """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"init_params needs a PCG64 generator, got {type(rng.bit_generator).__name__}")
     draws = ag.UniformDraws()
     d, d_ff = cfg.d_model, cfg.d_ff
     params: dict[str, ag.Tensor] = {
@@ -143,14 +147,15 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig, vocab_size: int, fus
             raise ValueError(f"{name!r} ({source.shape}, not {tensor.shape})")
         if not draws.give(tensor.data, source):
             tensor.data = source.copy()
-    draws.make(rng, split=_uses_worker(cfg))
+    draws.make(rng, split=uses_worker(cfg))
     params.update(stack_gat_blocks(gat_blocks))
     return params
 
 
-def _uses_worker(cfg: ModelConfig) -> bool:
-    """Whether a model of `cfg` shares its work with autograd's worker thread: its decoder's
-    feed-forward weight has at least `autograd.LEAF_FLOOR` elements."""
+def uses_worker(cfg: ModelConfig) -> bool:
+    """Whether a model of `cfg` shares its init, training forward and generation with
+    autograd's worker thread: its decoder's feed-forward weight has at least
+    `autograd.LEAF_FLOOR` elements."""
     return cfg.d_model * cfg.d_ff >= ag.LEAF_FLOOR
 
 
@@ -289,12 +294,6 @@ class Model:
         self.fused = fused
         # every row is the same elementwise formula, so a slice equals a shorter table bit for bit
         self.positions = sinusoidal_positions(cfg.max_len, cfg.d_model)
-
-    @property
-    def uses_worker(self) -> bool:
-        """Whether the training forward and generation share their work with autograd's worker
-        thread (`_uses_worker`, which init_params shares)."""
-        return _uses_worker(self.cfg)
 
     # -------------------------------------------------------------- embeddings
 
@@ -436,9 +435,9 @@ class Model:
         The loss skips PAD targets, and an example without triples keeps lam = 1 exactly, as
         when alone.
 
-        A model that `uses_worker` runs the graph encoder on autograd's worker beside the
-        set-up encoder, then every block's cross-attention and fusion keys and values there, in
-        block order, while this thread decodes; each job is picked up when its block needs it.
+        When `uses_worker(cfg)`, the graph encoder runs on autograd's worker beside the set-up
+        encoder, then every block's cross-attention and fusion keys and values there, in block
+        order, while this thread decodes; each job is picked up when its block needs it.
         Dropout is drawn on this thread only, in the serial order, so every value is the serial one.
         """
         pad = self.tokenizer.pad_id
@@ -446,7 +445,7 @@ class Model:
         src, memory_bias, src_real = _pad([ex.src for ex in batch], pad)
         tgt, _, tgt_real = _pad([ex.tgt for ex in batch], pad)
         real = tgt_real[:, 1:]
-        with ag.beside(self.uses_worker) as submit:
+        with ag.beside(uses_worker(cfg)) as submit:
             graphs = (submit(functools.partial(self._encode_graphs, [ex.triples for ex in batch]))
                       if self.fused else lambda: (None,) * 3)
             memory = self.encode_setup(src, dropout_rng=dropout_rng, bias=memory_bias, real=src_real)

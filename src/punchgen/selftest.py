@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autograd as ag
-from .config import ModelConfig
+from .config import ModelConfig, preset
 from .corpus import JokeRecord, deduplicate
 from .decoding import beam_search, model_step_fn
 from .graph_encoder import encode_knowledge, gat_attention, in_neighbor_mask, init_gat_params
@@ -116,8 +116,7 @@ def _fixture_texts() -> list[str]:
 
 
 def desk_model(seed: int = 0, fused: bool = True) -> Model:
-    cfg = ModelConfig(d_model=64, n_blocks=2, n_heads=4, d_ff=256, vocab_size=2000,
-                      dropout=0.0)
+    cfg = replace(preset("desk").model, dropout=0.0)
     tok = train_tokenizer(_fixture_texts(), vocab_size=500)
     rng = np.random.default_rng(seed)
     return Model(init_params(rng, cfg, tok.vocab_size, fused=fused), cfg, tok, fused=fused)

@@ -60,16 +60,15 @@ class Adam:
     A step updates each tensor in slices of CHUNK elements through three
     scratch buffers, so the temporaries of its per-element formulas stay in
     cache; the formulas and their order are the textbook ones, element by
-    element, so the result does not depend on the slicing. From SPLIT_FLOOR
-    elements on, the tensors are cut into two runs of about equal size, one
-    for autograd's worker thread and one for the caller's, each with its own
+    element, so the result does not depend on the slicing. The tensors are cut
+    into the two runs of `autograd.halve`, and when some tensor has at least
+    `autograd.LEAF_FLOOR` elements (so that the backward handed its gradient to
+    the worker) the second run steps on autograd's worker thread, with its own
     scratch buffers. The squared gradient norms are summed in tensor order
     either way, so the clipping and every update are the serial ones.
     """
 
     CHUNK = 1 << 15  # elements per slice: three float64 scratch slices are 768 KiB
-    # Total elements from which a step splits; the desk model (about 0.5M) stepped slower split.
-    SPLIT_FLOOR = 1 << 20
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, clip_norm: float | None = 1.0,
@@ -101,21 +100,22 @@ class Adam:
             if name not in self.m:
                 self.m[name], self.v[name] = np.zeros(p.data.shape), np.zeros(p.data.shape)
         items = list(params.items())
-        sizes = np.cumsum([p.data.size for _, p in items])
-        if sizes.size and sizes[-1] >= self.SPLIT_FLOOR:
-            cut = int(np.searchsorted(sizes, sizes[-1] / 2)) + 1
-            runs = [items[:cut], items[cut:]]
-        else:
-            runs = [items]
-        while len(self._scratch) < len(runs):
+        sizes = [p.data.size for _, p in items]
+        cut = ag.halve(sizes)
+        split = any(n >= ag.LEAF_FLOOR for n in sizes)
+        while len(self._scratch) < 1 + split:
             self._scratch.append(np.empty((3, self.CHUNK)))
-        squares = [s for run in _per_run(lambda i, run: _squared_norms(run), runs) for s in run]
-        total = math.sqrt(sum(squares))
+        with ag.beside(split) as submit:
+            theirs = submit(lambda: _squared_norms(items[cut:]))
+            total = math.sqrt(sum(_squared_norms(items[:cut]) + theirs()))
         scale = self.clip_norm / total if self.clip_norm is not None and total > self.clip_norm else None
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        _per_run(lambda i, run: self._update_run(run, self._scratch[i], scale, bc1, bc2), runs)
+        with ag.beside(split) as submit:  # unsplit, this thread runs both in turn on scratch set 0
+            theirs = submit(lambda: self._update_run(items[cut:], self._scratch[split], scale, bc1, bc2))
+            self._update_run(items[:cut], self._scratch[0], scale, bc1, bc2)
+            theirs()
         return total
 
     def _update_run(self, items, scratch, scale, bc1, bc2) -> None:
@@ -152,14 +152,6 @@ class Adam:
 def _squared_norms(items) -> list[float]:
     """Each present gradient's squared norm, in order."""
     return [float((p.grad * p.grad).sum()) for _, p in items if p.grad is not None]
-
-
-def _per_run(fn, runs: list) -> list:
-    """[fn(i, run) for i, run in enumerate(runs)] for one or two runs; of two, the first runs on
-    autograd's worker thread."""
-    if len(runs) == 1:
-        return [fn(0, runs[0])]
-    return list(ag.run_beside(lambda: fn(0, runs[0]), lambda: fn(1, runs[1])))
 
 
 def batch_loss(model: Model, batch: list[Example], dropout_rng=None) -> tuple[ag.Tensor, int]:

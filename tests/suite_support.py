@@ -1,5 +1,6 @@
 """Helpers the test modules share: the fixture records, the ACCEPTANCE result lines, a
-deadlock guard, and the environment for tests that run the CLI in a subprocess.
+deadlock guard, a job handed to autograd's worker, and the environment for tests that run
+the CLI in a subprocess.
 
 The name is unique on sys.path, so `from suite_support import ...` finds this module
 whichever test directories are collected.
@@ -10,6 +11,7 @@ import threading
 from pathlib import Path
 
 import punchgen
+from punchgen import autograd as ag
 from punchgen.corpus import JokeRecord, deduplicate, filter_joke, read_raw_jokes, segment_punchline
 from punchgen.knowledge import FixtureProvider, annotate_dataset
 
@@ -39,6 +41,12 @@ def bounded(fn, seconds=30):
     helper.join(seconds)
     assert not helper.is_alive(), "deadlocked"
     return out[0]
+
+
+def on_worker(job):
+    """job() submitted through autograd.beside, as the program hands work to the worker."""
+    with ag.beside() as submit:
+        return submit(job)()
 
 
 def record_acceptance(line: str) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from punchgen import autograd as ag
-from suite_support import bounded, subprocess_env
+from suite_support import bounded, on_worker, subprocess_env
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -488,13 +488,23 @@ class TestThreads:
             assert got() == 5
         assert ran == [threading.current_thread().name]
 
-    def test_run_beside_lends_the_caller_context(self):
+    def test_beside_lends_the_caller_context(self):
         def grad_mode():
-            return ag.Tensor(np.ones(2), requires_grad=True).requires_grad
+            return threading.current_thread().name, ag.Tensor(np.ones(2), requires_grad=True).requires_grad
 
-        assert ag.run_beside(grad_mode, grad_mode) == (True, True)
+        worker, on = on_worker(grad_mode)
+        assert worker.startswith("autograd") and on
         with ag.no_grad():
-            assert ag.run_beside(grad_mode, grad_mode) == (False, False)
+            assert on_worker(grad_mode) == (worker, False)
+            assert not grad_mode()[1]
+        assert grad_mode()[1]
+
+    def test_halve_cuts_into_two_runs_of_about_equal_sum(self):
+        assert ag.halve([]) == 0
+        assert ag.halve([5]) == 1  # the worker's run is empty
+        assert ag.halve([1, 1, 1, 1]) == 2
+        assert ag.halve([3, 1, 1, 1]) == 1
+        assert ag.halve([1, 1, 1, 3]) == 3
 
     def test_a_deadlocked_worker_fails_the_run_instead_of_hanging_it(self):
         """A worker job that waits for a job queued behind it never returns. The child's wait
@@ -516,15 +526,15 @@ class TestThreads:
         assert "TimeoutError" in proc.stderr.splitlines()[-1]
 
     def test_the_worker_never_waits_for_itself(self, monkeypatch):
-        """run_beside and a backward reached from a worker job run inline there."""
+        """beside and a backward reached from a worker job run inline there."""
         def names():
             return threading.current_thread().name
 
-        nested, caller = bounded(lambda: ag.run_beside(lambda: ag.run_beside(names, names), names))
+        nested = bounded(lambda: on_worker(lambda: (on_worker(names), names())))
         worker = nested[0]
-        assert nested == (worker, worker) and worker.startswith("autograd") and caller != worker
+        assert nested == (worker, worker) and worker.startswith("autograd") and names() != worker
         serial = self.leaf_grads()
         monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
-        on_worker, _ = bounded(lambda: ag.run_beside(self.leaf_grads, lambda: None))
+        there = bounded(lambda: on_worker(self.leaf_grads))
         for k, want in serial.items():
-            np.testing.assert_array_equal(on_worker[k], want, err_msg=k)
+            np.testing.assert_array_equal(there[k], want, err_msg=k)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import sys
@@ -387,7 +388,7 @@ class TestTwoThreads:
         decode_record waits until both have taken one; then `first` waits 50 ms more, so that
         record 1 finishes, or fails, after record 2.
         """
-        decode, run_beside = decoding.decode_record, ag.run_beside
+        decode, beside = decoding.decode_record, ag.beside
         calls, both = [], threading.Barrier(2, timeout=10)
         first_took = threading.Event()
 
@@ -403,17 +404,27 @@ class TestTwoThreads:
                     time.sleep(0.05)
             return decode(model, rec, **options)
 
-        def steered_run_beside(job, own):
-            def later(fn):
-                def run():
-                    assert first_took.wait(10)
-                    return fn()
-                return run
+        @contextlib.contextmanager
+        def steered_beside(on=True):
+            """beside, where the job starts once the caller took a record (first "caller"), or
+            the caller goes on once the job took one (first "worker")."""
+            with beside(on) as submit:
+                def steered_submit(fn):
+                    if first == "worker":
+                        got = submit(fn)
+                        assert first_took.wait(10)
+                        return got
 
-            return run_beside(*((job, later(own)) if first == "worker" else (later(job), own)))
+                    def later():
+                        assert first_took.wait(10)
+                        return fn()
+
+                    return submit(later)
+
+                yield steered_submit
 
         monkeypatch.setattr(decoding, "decode_record", steered_decode)
-        monkeypatch.setattr(ag, "run_beside", steered_run_beside)
+        monkeypatch.setattr(ag, "beside", steered_beside)
         return calls
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -102,16 +102,16 @@ def np_encoder(ids, p, cfg):
 
 
 class TestInitParams:
-    """init_params lists its draws, then makes them in two runs (the second on autograd's
-    worker, from a PCG64 jumped past the first) at or above the size rule of
-    `Model.uses_worker`, else in one. Either way every tensor and the generator's next draws
-    must be those of drawing each tensor in turn, as ag.xavier_uniform and init_gat_params do."""
+    """init_params lists its draws, then makes them in the two runs of ag.halve, the second
+    from a PCG64 jumped past the first, on autograd's worker when `uses_worker(cfg)`. Either
+    way every tensor and the generator's next draws must be those of drawing each tensor in
+    turn, as ag.xavier_uniform and init_gat_params do."""
 
     @staticmethod
-    def generators(kind: str):
+    def generators():
         """Two equal generators, each holding a buffered 32-bit half, which no double draw reads."""
         def make():
-            rng = np.random.default_rng(7) if kind == "pcg64" else np.random.Generator(np.random.MT19937(7))
+            rng = np.random.default_rng(7)
             rng.integers(0, 10, dtype=np.int32)
             return rng
         return make(), make()
@@ -150,19 +150,17 @@ class TestInitParams:
         if floor is not None:
             monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
         calls = self.counting_submits(monkeypatch)
-        rng, ref = self.generators("pcg64")
+        rng, ref = self.generators()
         params = init_params(rng, cfg, vocab, fused)
         assert len(calls) == (1 if name == "paper" or floor == 0 else 0)
         self.assert_serial_draws(params, rng, ref, cfg)
 
-    def test_another_bit_generator_draws_serially(self, monkeypatch):
-        """Without PCG64's jump-ahead the draws stay on the calling thread, even at floor 0."""
-        monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
-        calls = self.counting_submits(monkeypatch)
-        rng, ref = self.generators("mt19937")
-        params = init_params(rng, preset("desk").model, 674, fused=True)
-        assert calls == []
-        self.assert_serial_draws(params, rng, ref, preset("desk").model)
+    def test_another_bit_generator_is_refused(self):
+        """Only PCG64 can jump past a draw, so another bit generator raises before any draw."""
+        rng = np.random.Generator(np.random.MT19937(7))
+        with pytest.raises(TypeError, match="PCG64"):
+            init_params(rng, preset("desk").model, 674, fused=True)
+        assert rng.random() == np.random.Generator(np.random.MT19937(7)).random()
 
 
 class TestPositions:

@@ -11,7 +11,8 @@ from punchgen import model as model_module
 from punchgen import training
 from punchgen.config import ModelConfig, TrainConfig, preset
 from punchgen.corpus import DatasetSplit, JokeRecord
-from punchgen.model import Model, init_params, is_knowledge_only, load_checkpoint, save_checkpoint
+from punchgen.model import (Model, init_params, is_knowledge_only, load_checkpoint, save_checkpoint,
+                            uses_worker)
 from punchgen.tokenizer import train_tokenizer
 from punchgen.training import (
     EVAL_BATCH,
@@ -26,7 +27,7 @@ from punchgen.training import (
     train_step,
     transplant,
 )
-from suite_support import bounded
+from suite_support import bounded, on_worker
 
 from perfbench.tracing import tape_nodes
 
@@ -136,10 +137,34 @@ class TestAdam:
     def test_blocked_step_equals_per_tensor_step(self, monkeypatch):
         """Bit-equal to whole-tensor numpy Adam over several chunks, with clipping, a missing
         gradient and a parameter whose data is not C-contiguous; on one thread, and split across
-        two ("big" and "odd" on the worker)."""
-        for split_floor in (math.inf, 0):
-            monkeypatch.setattr(Adam, "SPLIT_FLOOR", split_floor)
+        two ("none", "small" and "strided" on the worker)."""
+        for floor in (math.inf, 0):
+            monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
             self.check_blocked_step()
+
+    @pytest.mark.parametrize("largest, worker_calls", [(ag.LEAF_FLOOR - 1, []), (ag.LEAF_FLOOR, ["norms", "update"])],
+                             ids=["below-the-floor", "at-the-floor"])
+    def test_step_splits_when_a_tensor_reaches_the_leaf_floor(self, monkeypatch, largest, worker_calls):
+        """A step hands its second run to autograd's worker, two jobs (the squared norms, then
+        the update), exactly when some tensor has LEAF_FLOOR elements: when the backward
+        handed that tensor's gradient to the worker."""
+        submits, calls = TestForwardBeside.counting_submits(monkeypatch), []
+        squared_norms, update_run = training._squared_norms, Adam._update_run
+
+        def recording(what, fn):
+            def run(*args):
+                if threading.current_thread().name.startswith("autograd"):
+                    calls.append(what)
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(training, "_squared_norms", recording("norms", squared_norms))
+        monkeypatch.setattr(Adam, "_update_run", recording("update", update_run))
+        params = {k: ag.Tensor(np.ones(n), requires_grad=True) for k, n in (("a", 1000), ("big", largest), ("b", 10))}
+        for p in params.values():
+            p.grad = np.ones(p.data.size)
+        Adam(1e-3).step(params)
+        assert len(submits) == len(worker_calls) and calls == worker_calls
 
     @staticmethod
     def check_blocked_step():
@@ -210,7 +235,6 @@ class TestTwoThreads:
     @staticmethod
     def fused_desk_run(floor, monkeypatch):
         monkeypatch.setattr(ag, "LEAF_FLOOR", floor)
-        monkeypatch.setattr(Adam, "SPLIT_FLOOR", floor)
         cfg = preset("desk").model
         tok = train_tokenizer([r.full_text() for r in TRIPLED] + [" ".join(t) for r in TRIPLED for t in r.triples],
                               vocab_size=300)
@@ -270,10 +294,10 @@ class TestForwardBeside:
     def test_loss_gradients_and_eval_are_bit_identical(self, desk_tok, monkeypatch, fused, records):
         model = desk(desk_tok, fused)
         batch = prepare_examples(records, desk_tok, model.cfg)
-        assert not model.uses_worker
+        assert not uses_worker(model.cfg)
         serial = self.forward_backward(model, batch)
         monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
-        assert model.uses_worker
+        assert uses_worker(model.cfg)
         handed = self.forward_backward(model, batch)
         assert handed[:3] == serial[:3] and handed[4] == serial[4]
         assert list(handed[3]) == list(serial[3])
@@ -309,9 +333,9 @@ class TestForwardBeside:
         want = float(model.loss_sum(batch)[0].data)
         monkeypatch.setattr(ag, "LEAF_FLOOR", 0)
         calls = self.counting_submits(monkeypatch)
-        got, _ = bounded(lambda: ag.run_beside(lambda: float(model.loss_sum(batch)[0].data), lambda: None))
+        got = bounded(lambda: on_worker(lambda: float(model.loss_sum(batch)[0].data)))
         assert got == want
-        assert len(calls) == 1  # run_beside's job; the forward in it submitted nothing
+        assert len(calls) == 1  # on_worker's job; the forward in it submitted nothing
 
     def test_graph_error_surfaces_and_leaves_the_worker_idle(self, desk_tok, monkeypatch):
         model = desk(desk_tok, True)
@@ -330,7 +354,7 @@ class TestForwardBeside:
         assert len(threads) == 1 and threads[0].startswith("autograd")
         assert ag._WORKER._work_queue.empty()
         start = time.perf_counter()
-        assert bounded(lambda: ag.run_beside(lambda: 1, lambda: 2), seconds=5) == (1, 2)
+        assert bounded(lambda: on_worker(lambda: 1), seconds=5) == 1
         assert time.perf_counter() - start < 1.0
 
     def test_caller_error_waits_for_the_graph_job(self, desk_tok, monkeypatch):
